@@ -10,9 +10,9 @@ import tempfile
 
 from glracks import classify_gl, enumerate_racks
 from glracks.formats import (
-    StructureRecord,
     ingest_rack_library,
     read_records,
+    record_for_class,
     write_records,
 )
 
@@ -20,18 +20,7 @@ workdir = tempfile.mkdtemp(prefix="glracks-demo-")
 
 # Records are one-per-line, 1-based, and self-describing; the reader
 # revalidates every structure, including the stored down map and flags.
-records = []
-for rec in classify_gl(3, enumerate_racks(3)).records:
-    records.append(
-        StructureRecord(
-            n=rec.n,
-            s=rec.rack.tables(),
-            u=rec.u.images,
-            d=rec.d.images,
-            flags=rec.flags,
-            rack_index=rec.rack_index,
-        )
-    )
+records = [record_for_class(rec) for rec in classify_gl(3, enumerate_racks(3)).records]
 path = os.path.join(workdir, "order3.txt")
 write_records(path, records)
 print("wrote", len(records), "records to", path)
@@ -47,13 +36,17 @@ with open(lib, "w") as fh:
 racks = ingest_rack_library(lib)
 print("\ningested", len(racks), "rack(s) from the bracketed library")
 
-# The same operations are available from the shell.  Exit codes: 0 fine,
-# 1 validation failure, 2 needs --long-run, 3 unreadable input.
-for argv in (
-    ["glracks", "check", path],
-    ["glracks", "count", "-n", "4"],
-    ["glracks", "classify", "-n", "7"],  # refused without --long-run
+# The same operations are available from the shell, as ``glracks`` or
+# ``python -m glracks``.  Exit codes: 0 fine, 1 validation failure (or an
+# order outside 0..8), 2 needs --long-run, 3 unreadable input.
+for args in (
+    ["check", path],
+    ["count", "-n", "4"],
+    ["classify", "-n", "7"],  # refused without --long-run
+    ["count", "-n", "9"],  # no such order
 ):
-    proc = subprocess.run(argv, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "glracks", *args], capture_output=True, text=True
+    )
     tail = (proc.stdout or proc.stderr).strip().splitlines()[-1]
-    print(f"$ {' '.join(argv)}\n  -> exit {proc.returncode}: {tail}")
+    print(f"$ glracks {' '.join(args)}\n  -> exit {proc.returncode}: {tail}")

@@ -18,6 +18,7 @@ from .perm import (
 from .racks import (
     Rack,
     check_rack,
+    inn_group,
     is_quandle,
     is_medial,
     dual,
@@ -39,7 +40,6 @@ from .morphisms import (
     find_iso,
     is_isomorphic,
     aut_group,
-    inn_group,
     is_gl_hom,
     enumerate_gl_homs,
     find_gl_iso,

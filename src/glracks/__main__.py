@@ -1,0 +1,8 @@
+"""``python -m glracks``: the command-line interface, as ``glracks``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,7 @@ from .perm import (
     Permutation,
     SmallGroup,
     centralizer,
+    conjugation_orbits,
     symmetric_group,
 )
 from .racks import Rack, check_rack, is_medial, is_quandle, theta
@@ -34,6 +35,8 @@ __all__ = [
     "CountReport",
     "ClassificationResult",
     "LongRunRequired",
+    "OrderOutOfRange",
+    "check_order",
     "gl_structures",
     "gl_structures_brute",
     "gl_classes",
@@ -46,9 +49,22 @@ MAX_ORDER = 8
 LONG_RUN_THRESHOLD = 6
 
 
+class OrderOutOfRange(ValueError):
+    """Raised for an order outside ``0..MAX_ORDER``."""
+
+
 class LongRunRequired(ValueError):
     """Raised when an order beyond the interactive threshold is requested
     without the explicit long-run opt-in."""
+
+
+def check_order(n: int, long_run: bool) -> None:
+    """The order gate: ``n`` must lie in ``0..MAX_ORDER``, and orders above
+    ``LONG_RUN_THRESHOLD`` need the long-run opt-in."""
+    if not 0 <= n <= MAX_ORDER:
+        raise OrderOutOfRange(f"order must be in 0..{MAX_ORDER}")
+    if n > LONG_RUN_THRESHOLD and not long_run:
+        raise LongRunRequired(f"order {n} requires --long-run")
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +204,7 @@ def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
     Orders above 6 must be requested with ``long_run=True``; 8 is the
     supported maximum.
     """
-    if n < 0 or n > MAX_ORDER:
-        raise ValueError(f"order must be in 0..{MAX_ORDER}, got {n}")
-    if n > LONG_RUN_THRESHOLD and not long_run:
-        raise LongRunRequired(f"order {n} requires the long-run opt-in")
+    check_order(n, long_run)
     labeled = _labeled_racks(n)
     reps = _dedupe_by_orbits(labeled, n)
     return [_unflatten(flat, n) for flat in reps]
@@ -227,28 +240,14 @@ def gl_classes(
     Partition of U under conjugation by the full automorphism group (not by
     U itself, which would be wrong); each class is reported as its
     lexicographically least member with the class size, ordered by
-    representative.
+    representative.  U is normal in Aut R, so every class lies in U; a
+    class that leaves U (a wrong ``aut``) raises ``ValueError``.
     """
     if aut is None:
         aut = aut_group(rack)
     structures = gl_structures(rack, aut)
-    n = rack.n
-    remaining = {u.images for u in structures.elements}
-    aut_images = [g.images for g in aut.elements]
-    classes = []
-    while remaining:
-        a = min(remaining)
-        orbit = set()
-        for gi in aut_images:
-            conj = [0] * n
-            for i in range(n):
-                conj[gi[i]] = gi[a[i]]
-            orbit.add(tuple(conj))
-        orbit &= remaining  # orbit lies in U by normality; intersect defensively
-        remaining -= orbit
-        classes.append((Permutation.unchecked(a), len(orbit)))
-    classes.sort(key=lambda item: item[0].images)
-    return classes
+    orbits = conjugation_orbits((u.images for u in structures.elements), aut)
+    return [(Permutation.unchecked(orbit[0]), len(orbit)) for orbit in orbits]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from . import formats
 from .formats import StructureRecord, RecordFormatError
 from .functors import functor_f, functor_g
 from .glrack import down_map, flags
-from .morphisms import aut_group, enumerate_homs, hom_rack, inn_group
+from .morphisms import aut_group, enumerate_homs, hom_rack
 from .perm import print_cycles
-from .racks import RackError, associated_quandle, medialization
+from .racks import RackError, associated_quandle, inn_group, medialization
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -49,17 +49,6 @@ def _emit_records(records: list[StructureRecord], out: Optional[str], table: boo
             )
 
 
-def _record_for_class(rec: _classify.ClassRecord) -> StructureRecord:
-    return StructureRecord(
-        n=rec.n,
-        s=rec.rack.tables(),
-        u=rec.u.images,
-        d=rec.d.images,
-        flags=rec.flags,
-        rack_index=rec.rack_index,
-    )
-
-
 def cmd_check(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -86,8 +75,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.n > _classify.LONG_RUN_THRESHOLD and not args.long_run:
-        return _fail(f"order {args.n} requires --long-run", EXIT_NONEXHAUSTIVE)
+    _classify.check_order(args.n, args.long_run)
     racks = None
     if args.source != "enumerate":
         try:
@@ -110,7 +98,7 @@ def cmd_classify(args) -> int:
         )
     except MemoryError:
         return _fail("classification ran out of memory", EXIT_NONEXHAUSTIVE)
-    _emit_records([_record_for_class(r) for r in result.records], args.out, args.table)
+    _emit_records([formats.record_for_class(r) for r in result.records], args.out, args.table)
     if result.exhaustive and args.source == "enumerate" and not (args.quandles or args.medial):
         report = _classify.count_report(args.n, result)
         print(
@@ -128,8 +116,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate_racks(args) -> int:
-    if args.n > _classify.LONG_RUN_THRESHOLD and not args.long_run:
-        return _fail(f"order {args.n} requires --long-run", EXIT_NONEXHAUSTIVE)
     racks = _classify.enumerate_racks(args.n, long_run=args.long_run)
     records = [
         StructureRecord(n=args.n, s=r.tables(), rack_index=i)
@@ -222,8 +208,6 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.n > _classify.LONG_RUN_THRESHOLD and not args.long_run:
-        return _fail(f"order {args.n} requires --long-run", EXIT_NONEXHAUSTIVE)
     report = _classify.count_report(args.n, long_run=args.long_run, jobs=args.jobs)
     print(
         f"n={report.n} g={report.g} g_m={report.g_m} g_q={report.g_q} "
@@ -305,6 +289,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except SystemExit:
         raise
+    except _classify.OrderOutOfRange as exc:
+        return _fail(str(exc), EXIT_INVALID)
+    except _classify.LongRunRequired as exc:
+        return _fail(str(exc), EXIT_NONEXHAUSTIVE)
     except formats.BracketParseError as exc:
         return _fail(str(exc), EXIT_IO)
     except (RackError, RecordFormatError) as exc:

@@ -23,6 +23,7 @@ __all__ = [
     "format_record_line",
     "read_records",
     "write_records",
+    "record_for_class",
     "format_record_table",
     "append_checkpoint",
     "read_checkpoint",
@@ -169,6 +170,18 @@ def read_records(path: str, validate: bool = True) -> list[StructureRecord]:
     return records
 
 
+def record_for_class(rec) -> StructureRecord:
+    """The structure record of a ``classify.ClassRecord``."""
+    return StructureRecord(
+        n=rec.n,
+        s=rec.rack.tables(),
+        u=rec.u.images,
+        d=rec.d.images,
+        flags=rec.flags,
+        rack_index=rec.rack_index,
+    )
+
+
 def write_records(path: str, records: Iterable[StructureRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# glracks structure records v1\n")
@@ -204,20 +217,10 @@ def append_checkpoint(path: str, completed: list) -> None:
 
     ``completed`` holds ``(rack_index, class_records)`` pairs.
     """
-    from .classify import ClassRecord  # local import to avoid a cycle
-
     with open(path, "a", encoding="utf-8") as fh:
         for rack_index, records in completed:
             for rec in records:
-                sr = StructureRecord(
-                    n=rec.n,
-                    s=rec.rack.tables(),
-                    u=rec.u.images,
-                    d=rec.d.images,
-                    flags=rec.flags,
-                    rack_index=rec.rack_index,
-                )
-                fh.write(format_record_line(sr) + "\n")
+                fh.write(format_record_line(record_for_class(rec)) + "\n")
             fh.write(f"watermark rack={rack_index}\n")
 
 

@@ -1,8 +1,12 @@
 """Homomorphisms, isomorphisms, and automorphism groups of (GL-)racks.
 
 Maps between carriers are plain tuples of ints: ``phi[x]`` is the image of
-``x``.  Enumeration is by backtracking with constraint propagation; the
-exhaustive ``|S|^|R|`` loop is kept as a test oracle behind
+``x``.  Every hom, iso, GL-iso and automorphism query runs the one
+backtracking search ``_search``: it assigns points in index order and
+checks each constraint ``phi(s_a(b)) = t_phi(a)(phi(b))`` (and, for
+GL-racks, ``phi u_1 = u_2 phi``) as soon as all its points are assigned,
+whichever of them comes last, so every map it returns is a homomorphism.
+The exhaustive ``|S|^|R|`` loop is kept as a test oracle behind
 ``brute_force=True``.
 """
 
@@ -12,7 +16,7 @@ import itertools
 from typing import Callable, Optional, Sequence
 
 from .glrack import GLRack, check_gl
-from .perm import Permutation, SmallGroup, centralizer, closure
+from .perm import Permutation, SmallGroup
 from .racks import Rack, check_rack, is_medial, is_quandle, profile
 
 __all__ = [
@@ -22,7 +26,6 @@ __all__ = [
     "find_iso",
     "is_isomorphic",
     "aut_group",
-    "inn_group",
     "is_gl_hom",
     "enumerate_gl_homs",
     "find_gl_iso",
@@ -57,91 +60,99 @@ def is_rack_hom(source: Rack, target: Rack, phi: Sequence[int]) -> bool:
     return True
 
 
-def _extend_ok(
-    s_rows, t_rows, phi: list[Optional[int]], x: int, v: int
-) -> bool:
-    """Check all hom constraints among assigned points after phi[x] = v."""
-    n = len(phi)
-    for y in range(n):
-        w = phi[y]
-        if w is None:
-            continue
-        # pair (x, y): phi(s_x(y)) == t_v(phi(y))
-        img = phi[s_rows[x][y]]
-        if img is not None and img != t_rows[v][w]:
-            return False
-        # pair (y, x): phi(s_y(x)) == t_w(phi(x))
-        img = phi[s_rows[y][x]]
-        if img is not None and img != t_rows[w][v]:
-            return False
-    return True
+def _search(
+    source: Rack,
+    target: Rack,
+    candidates: Optional[Sequence[Sequence[int]]] = None,
+    *,
+    injective: bool,
+    u: Optional[tuple[Permutation, Permutation]] = None,
+    budget: Optional[int],
+    first: bool,
+) -> list[Map]:
+    """The one backtracking search behind every hom, iso and Aut query.
+
+    Assigns ``phi[0], phi[1], ...`` in index order, trying ``candidates[x]``
+    (default: every target point) in ascending order, so results come out
+    lexicographically.  Each constraint ``phi(s_a(b)) = t_phi(a)(phi(b))``
+    is checked exactly once, at the step that assigns the last of its three
+    points ``a``, ``b`` and ``s_a(b)``; so every result is a homomorphism.
+    With ``u = (u_1, u_2)`` each ``phi(u_1(y)) = u_2(phi(y))`` is checked
+    the same way.  ``injective`` restricts to injective maps, ``first``
+    stops at the first result, and more than ``budget`` tried assignments
+    raise :class:`SearchBudgetExceeded`.
+    """
+    n, m = source.n, target.n
+    if candidates is None:
+        candidates = [range(m)] * n
+    t_rows = target.tables()
+    # checks[x]: the constraints whose last-assigned point is x
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a, row in enumerate(source.tables()):
+        for b, c in enumerate(row):
+            checks[max(a, b, c)].append((a, b, c))
+    u_checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    u2: Sequence[int] = ()
+    if u is not None:
+        u2 = u[1].images
+        for y, w in enumerate(u[0].images):
+            u_checks[max(y, w)].append((y, w))
+    phi = [0] * n
+    used = [False] * m
+    results: list[Map] = []
+    nodes = 0
+
+    def extend(x: int) -> bool:
+        """Extend phi[:x]; True once ``first`` has its result."""
+        nonlocal nodes
+        if x == n:
+            results.append(tuple(phi))
+            return first
+        for v in candidates[x]:
+            if injective and used[v]:
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise SearchBudgetExceeded(f"search exceeded {budget} nodes")
+            phi[x] = v
+            for a, b, c in checks[x]:
+                if phi[c] != t_rows[phi[a]][phi[b]]:
+                    break
+            else:
+                for y, w in u_checks[x]:
+                    if phi[w] != u2[phi[y]]:
+                        break
+                else:
+                    used[v] = True
+                    if extend(x + 1):
+                        return True
+                    used[v] = False
+        return False
+
+    extend(0)
+    return results
 
 
 def enumerate_homs(
     source: Rack,
     target: Rack,
     *,
-    extra_constraint: Optional[Callable[[list[Optional[int]], int, int], bool]] = None,
-    injective: bool = False,
     budget: Optional[int] = None,
     brute_force: bool = False,
 ) -> list[Map]:
     """All rack homomorphisms from ``source`` to ``target``, lexicographic.
 
-    Backtracking on the first unassigned point, pruning with the hom identity
-    as soon as both arguments of a constraint are assigned.
-    ``extra_constraint(phi, x, v)`` can impose additional pointwise
-    conditions (used for GL-equivariance).  ``budget`` caps visited search
-    nodes; exceeding it raises :class:`SearchBudgetExceeded`.
+    ``budget`` caps tried assignments; exceeding it raises
+    :class:`SearchBudgetExceeded`.  ``brute_force=True`` filters all
+    ``|target|^|source|`` maps instead (a test oracle).
     """
-    n, m = source.n, target.n
-    if n == 0:
-        return [()]
     if brute_force:
-        out = []
-        for phi in itertools.product(range(m), repeat=n):
-            if injective and len(set(phi)) != n:
-                continue
-            if not is_rack_hom(source, target, phi):
-                continue
-            if extra_constraint is not None and not all(
-                extra_constraint(list(phi), x, phi[x]) for x in range(n)
-            ):
-                continue
-            out.append(phi)
-        return out
-
-    s_rows = source.tables()
-    t_rows = target.tables()
-    phi: list[Optional[int]] = [None] * n
-    used = [False] * m
-    results: list[Map] = []
-    nodes = 0
-
-    def search(x: int) -> None:
-        nonlocal nodes
-        if x == n:
-            results.append(tuple(phi))  # type: ignore[arg-type]
-            return
-        for v in range(m):
-            if injective and used[v]:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(f"hom search exceeded {budget} nodes")
-            phi[x] = v
-            if _extend_ok(s_rows, t_rows, phi, x, v) and (
-                extra_constraint is None or extra_constraint(phi, x, v)
-            ):
-                if injective:
-                    used[v] = True
-                search(x + 1)
-                if injective:
-                    used[v] = False
-            phi[x] = None
-
-    search(0)
-    return results
+        return [
+            phi
+            for phi in itertools.product(range(target.n), repeat=source.n)
+            if is_rack_hom(source, target, phi)
+        ]
+    return _search(source, target, injective=False, budget=budget, first=False)
 
 
 def _iso_candidates_by_cycle_type(source: Rack, target: Rack):
@@ -158,47 +169,14 @@ def find_iso(
 ) -> Optional[Permutation]:
     """A witness rack isomorphism, or ``None``.
 
-    Fast-rejects on profile mismatch, then backtracks over bijections whose
-    point images match ``s_x`` cycle types; the search is complete within
-    that (sound) restriction.
+    Fast-rejects on profile mismatch, then searches the bijections whose
+    point images match ``s_x`` cycle types.
     """
-    if source.n != target.n:
-        return None
-    if profile(source) != profile(target):
+    if source.n != target.n or profile(source) != profile(target):
         return None
     candidates = _iso_candidates_by_cycle_type(source, target)
-    if any(not c for c in candidates):
-        return None
-    s_rows = source.tables()
-    t_rows = target.tables()
-    n = source.n
-    phi: list[Optional[int]] = [None] * n
-    used = [False] * n
-    nodes = 0
-
-    def search(x: int) -> Optional[Permutation]:
-        nonlocal nodes
-        if x == n:
-            return Permutation(phi)  # type: ignore[arg-type]
-        for v in candidates[x]:
-            if used[v]:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(f"iso search exceeded {budget} nodes")
-            phi[x] = v
-            if _extend_ok(s_rows, t_rows, phi, x, v):
-                used[v] = True
-                found = search(x + 1)
-                if found is not None:
-                    return found
-                used[v] = False
-            phi[x] = None
-        return None
-
-    if n == 0:
-        return Permutation(())
-    return search(0)
+    found = _search(source, target, candidates, injective=True, budget=budget, first=True)
+    return Permutation(found[0]) if found else None
 
 
 def is_isomorphic(source: Rack, target: Rack) -> bool:
@@ -207,20 +185,9 @@ def is_isomorphic(source: Rack, target: Rack) -> bool:
 
 def aut_group(rack: Rack, budget: Optional[int] = None) -> SmallGroup:
     """All rack automorphisms, materialized as a :class:`SmallGroup`."""
-    autos = enumerate_homs(rack, rack, injective=True, budget=budget)
-    elements = tuple(Permutation(phi) for phi in autos)
-    return SmallGroup(rack.n, elements, tuple(sorted(elements)))
-
-
-def inn_group(rack: Rack) -> SmallGroup:
-    """The inner automorphism group, generated by the ``s_x``."""
-    gens = []
-    seen = set()
-    for p in rack.s:
-        if p.images not in seen:
-            seen.add(p.images)
-            gens.append(p)
-    return closure(gens, degree=rack.n)
+    autos = _search(rack, rack, injective=True, budget=budget, first=False)
+    elements = tuple(Permutation.unchecked(phi) for phi in autos)
+    return SmallGroup(rack.n, elements, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -235,32 +202,12 @@ def is_gl_hom(g1: GLRack, g2: GLRack, phi: Sequence[int]) -> bool:
     return all(phi[u1[x]] == u2[phi[x]] for x in range(g1.n))
 
 
-def _u_equivariance(u1: Permutation, u2: Permutation):
-    u1i, u2i = u1.images, u2.images
-
-    def constraint(phi: list[Optional[int]], x: int, v: int) -> bool:
-        # phi(u1(x)) == u2(v), checked in both directions around x
-        img = phi[u1i[x]]
-        if img is not None and img != u2i[v]:
-            return False
-        y = u1i.index(x)  # u1^-1(x); u1 degrees are small
-        img = phi[y]
-        if img is not None and u2i[img] != v:
-            return False
-        return True
-
-    return constraint
-
-
 def enumerate_gl_homs(
-    g1: GLRack, g2: GLRack, budget: Optional[int] = None, brute_force: bool = False
+    g1: GLRack, g2: GLRack, budget: Optional[int] = None
 ) -> list[Map]:
-    return enumerate_homs(
-        g1.rack,
-        g2.rack,
-        extra_constraint=_u_equivariance(g1.u, g2.u),
-        budget=budget,
-        brute_force=brute_force,
+    """All GL-rack homomorphisms from ``g1`` to ``g2``, lexicographic."""
+    return _search(
+        g1.rack, g2.rack, injective=False, u=(g1.u, g2.u), budget=budget, first=False
     )
 
 
@@ -268,63 +215,21 @@ def find_gl_iso(
     g1: GLRack, g2: GLRack, budget: Optional[int] = None
 ) -> Optional[Permutation]:
     """A witness GL-rack isomorphism, or ``None``."""
-    if g1.n != g2.n:
+    if g1.n != g2.n or g1.u.cycle_type() != g2.u.cycle_type():
         return None
-    if g1.u.cycle_type() != g2.u.cycle_type():
-        return None
-    iso = find_iso(g1.rack, g2.rack, budget=budget)
-    if iso is None:
-        return None
-    # restart the bijection search with the u constraint included
-    if g1.n == 0:
-        return Permutation(())
     candidates = _iso_candidates_by_cycle_type(g1.rack, g2.rack)
-    s_rows = g1.rack.tables()
-    t_rows = g2.rack.tables()
-    u_ok = _u_equivariance(g1.u, g2.u)
-    n = g1.n
-    phi: list[Optional[int]] = [None] * n
-    used = [False] * n
-    nodes = 0
-
-    def search(x: int) -> Optional[Permutation]:
-        nonlocal nodes
-        if x == n:
-            return Permutation(phi)  # type: ignore[arg-type]
-        for v in candidates[x]:
-            if used[v]:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(f"GL-iso search exceeded {budget} nodes")
-            phi[x] = v
-            if _extend_ok(s_rows, t_rows, phi, x, v) and u_ok(phi, x, v):
-                used[v] = True
-                found = search(x + 1)
-                if found is not None:
-                    return found
-                used[v] = False
-            phi[x] = None
-        return None
-
-    return search(0)
-
-
-def aut_glr(gl: GLRack, via_centralizer: bool = True) -> SmallGroup:
-    """The GL-rack automorphism group, ``C_{Aut R}(u)``.
-
-    With ``via_centralizer=False``, enumerates GL-automorphisms directly by
-    backtracking; both routes must agree (tested).
-    """
-    if via_centralizer:
-        return centralizer(aut_group(gl.rack), [gl.u])
-    autos = enumerate_homs(
-        gl.rack,
-        gl.rack,
-        extra_constraint=_u_equivariance(gl.u, gl.u),
-        injective=True,
+    found = _search(
+        g1.rack, g2.rack, candidates, injective=True, u=(g1.u, g2.u), budget=budget, first=True
     )
-    elements = tuple(sorted(Permutation(phi) for phi in autos))
+    return Permutation(found[0]) if found else None
+
+
+def aut_glr(gl: GLRack) -> SmallGroup:
+    """The GL-rack automorphism group, ``C_{Aut R}(u)``."""
+    autos = _search(
+        gl.rack, gl.rack, injective=True, u=(gl.u, gl.u), budget=None, first=False
+    )
+    elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(gl.n, elements, elements)
 
 

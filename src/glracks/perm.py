@@ -28,6 +28,7 @@ __all__ = [
     "centralizer",
     "are_conjugate",
     "conjugacy_classes",
+    "conjugation_orbits",
 ]
 
 DEFAULT_GROUP_CAP = math.factorial(10)
@@ -378,16 +379,20 @@ def are_conjugate(
     return False, None
 
 
-def conjugacy_classes(group: SmallGroup) -> list[tuple[Permutation, ...]]:
-    """Partition of ``group.elements`` into conjugacy classes.
+def conjugation_orbits(
+    members: Iterable[tuple[int, ...]], group: SmallGroup
+) -> list[list[tuple[int, ...]]]:
+    """Partition ``members`` (image arrays) into orbits under conjugation
+    by ``group``.
 
-    Each class lists its lexicographically least member first and the rest in
-    sorted order; classes are ordered by representative.
+    Each orbit is sorted, and orbits are ordered by their least member.
+    Raises ``ValueError`` if an orbit leaves ``members``: the caller's set
+    is then not closed under conjugation, which a correct caller rules out.
     """
-    remaining = {p.images for p in group.elements}
-    classes = []
+    remaining = set(members)
     elems = [g.images for g in group.elements]
     n = group.degree
+    orbits = []
     while remaining:
         a = min(remaining)
         orbit = set()
@@ -396,7 +401,20 @@ def conjugacy_classes(group: SmallGroup) -> list[tuple[Permutation, ...]]:
             for i in range(n):
                 conj[gi[i]] = gi[a[i]]
             orbit.add(tuple(conj))
+        if not orbit <= remaining:
+            raise ValueError(f"conjugation orbit of {a} leaves the member set")
         remaining -= orbit
-        classes.append(tuple(Permutation.unchecked(t) for t in sorted(orbit)))
-    classes.sort(key=lambda cls: cls[0].images)
-    return classes
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def conjugacy_classes(group: SmallGroup) -> list[tuple[Permutation, ...]]:
+    """Partition of ``group.elements`` into conjugacy classes.
+
+    Each class lists its lexicographically least member first and the rest in
+    sorted order; classes are ordered by representative.
+    """
+    return [
+        tuple(Permutation.unchecked(t) for t in orbit)
+        for orbit in conjugation_orbits((p.images for p in group.elements), group)
+    ]

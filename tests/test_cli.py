@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from glracks.cli import main
@@ -56,6 +60,39 @@ class TestClassify:
         code, _out, err = run(capsys, "classify", "-n", "7")
         assert code == 2
         assert "--long-run" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "-n", "-1"),
+            ("classify", "-n", "9", "--long-run"),
+            ("classify", "-n", "9"),
+            ("enumerate-racks", "-n", "-2"),
+        ],
+    )
+    def test_order_out_of_range(self, capsys, argv):
+        code, _out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.strip() == "error: order must be in 0..8"
+
+    @pytest.mark.parametrize("command", ["enumerate-racks", "count"])
+    def test_long_run_gate_other_commands(self, capsys, command):
+        code, _out, err = run(capsys, command, "-n", "7")
+        assert code == 2
+        assert "--long-run" in err
+
+    def test_python_dash_m(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "glracks", "count", "-n", "9"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == "error: order must be in 0..8"
 
     def test_jobs_output_identical(self, capsys, tmp_path):
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from glracks.formats import parse_record_line
 from glracks.glrack import check_gl
 from glracks.morphisms import (
     aut_glr,
@@ -18,7 +19,7 @@ from glracks.morphisms import (
     is_rack_hom,
     SearchBudgetExceeded,
 )
-from glracks.perm import Permutation, parse_cycles
+from glracks.perm import Permutation, centralizer, parse_cycles
 from glracks.racks import (
     check_rack,
     dihedral,
@@ -49,8 +50,11 @@ class TestHoms:
         assert set(homs) == affine
 
     def test_matches_brute_force(self, racks_by_order):
-        for source in racks_by_order[3]:
-            for target in racks_by_order[3]:
+        # every ordered pair of orders 3 and 4; the pair (r4[10], r4[2])
+        # has a non-hom whose broken constraint has s_a(b) assigned last
+        racks = racks_by_order[3] + racks_by_order[4]
+        for source in racks:
+            for target in racks:
                 fast = enumerate_homs(source, target)
                 brute = enumerate_homs(source, target, brute_force=True)
                 assert fast == brute
@@ -111,6 +115,19 @@ class TestAutGroups:
             for g in aut_group(rack).elements:
                 assert is_rack_hom(rack, rack, g.images)
 
+    def test_aut_of_order_7_rack_1961(self):
+        # rack 1961 of the canonical order-7 list: a search that skips the
+        # constraints whose s_a(b) is assigned last finds 12 maps here
+        line = (
+            "n=7 s=1,3,4,2,6,7,5;1,5,6,7,2,3,4;1,5,6,7,2,3,4;1,5,6,7,2,3,4;"
+            "1,5,6,7,2,3,4;1,5,6,7,2,3,4;1,5,6,7,2,3,4"
+        )
+        rack = parse_record_line(line).rack()
+        group = aut_group(rack)
+        assert group.order == 6
+        for g in group.elements:
+            assert is_rack_hom(rack, rack, g.images)
+
     def test_aut_closed_under_composition(self, racks_by_order):
         for rack in racks_by_order[3]:
             group = aut_group(rack)
@@ -128,7 +145,9 @@ class TestGLMorphisms:
                 pairs.append(check_gl(rack, u))
         for g1, g2 in itertools.product(pairs, repeat=2):
             gl_homs = set(enumerate_gl_homs(g1, g2))
-            for phi in enumerate_homs(g1.rack, g2.rack):
+            homs = enumerate_homs(g1.rack, g2.rack)
+            assert gl_homs <= set(homs)
+            for phi in homs:
                 expected = all(
                     phi[g1.u.images[x]] == g2.u.images[phi[x]] for x in range(3)
                 )
@@ -152,9 +171,12 @@ class TestGLMorphisms:
             for rack in racks_by_order[n]:
                 for u, _size in gl_classes(rack):
                     gl = check_gl(rack, u)
-                    a = aut_glr(gl, via_centralizer=True)
-                    b = aut_glr(gl, via_centralizer=False)
-                    assert set(a.elements) == set(b.elements)
+                    autos = aut_glr(gl)
+                    bijective = {
+                        phi for phi in enumerate_gl_homs(gl, gl) if len(set(phi)) == n
+                    }
+                    assert {g.images for g in autos.elements} == bijective
+                    assert autos.elements == centralizer(aut_group(rack), [u]).elements
 
 
 class TestHomRacks:

@@ -12,6 +12,7 @@ from glracks.perm import (
     centralizer,
     closure,
     conjugacy_classes,
+    conjugation_orbits,
     parse_cycles,
     print_cycles,
     symmetric_group,
@@ -132,6 +133,13 @@ class TestGroups:
         # each class carries one cycle type
         for c in classes:
             assert len({g.cycle_type() for g in c}) == 1
+
+    def test_conjugation_orbits_must_stay_in_members(self):
+        s3 = symmetric_group(3)
+        transpositions = [(1, 0, 2), (0, 2, 1), (2, 1, 0)]
+        assert conjugation_orbits(transpositions, s3) == [sorted(transpositions)]
+        with pytest.raises(ValueError):
+            conjugation_orbits(transpositions[:2], s3)
 
     def test_are_conjugate_witness(self):
         s5 = symmetric_group(5)
