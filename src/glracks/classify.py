@@ -1,23 +1,32 @@
 """Exhaustive enumeration and GL-structure classification of finite racks.
 
-The rack enumerator backtracks over assignments ``s_0, ..., s_{n-1}``,
-propagating the forced identity ``s_{s_x(y)} = s_x s_y s_x^-1`` as soon as
-both sides are determined, then deduplicates the labeled racks into
-isomorphism classes by removing relabeling orbits from the smallest
-representative up.
+Racks are enumerated quandle-first, through the paper's isomorphism
+between racks and GL-quandles: the twist ``F(R) = (theta^-1 s, theta)`` is
+a GL-quandle, the untwist ``G(Q, u)`` with rows ``u s_x`` is a rack, and the
+two are mutually inverse on isomorphism classes.  So a labeled search runs
+over quandles only (it backtracks over ``s_0, ..., s_{n-1}`` with
+``s_x(x) = x``, propagating the forced identity
+``s_{s_x(y)} = s_x s_y s_x^-1`` as soon as both sides are determined); the
+labeled quandles are deduplicated into isomorphism classes by removing
+relabeling orbits; and each quandle ``Q`` with each class of
+GL-structures ``u`` on it gives one rack class ``G(Q, u)``, brought to its
+lexicographically least relabeling by a branch-and-bound canonical form.
 
 GL-structures on each rack are computed as the centralizer of the inner
 automorphism group inside the full automorphism group; isomorphism classes
 of GL-structures are conjugacy orbits under the automorphism group.  The
-naive filter of all of ``S_n`` is kept as a cross-check oracle.
+naive filter of all of ``S_n`` is kept as a cross-check oracle, and so is
+the rack-first labeled search.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from . import formats
 from .glrack import GLFlags, GLRack, check_gl, flags, is_gl_structure
 from .morphisms import aut_group
 from .perm import (
@@ -71,15 +80,21 @@ def check_order(n: int, long_run: bool) -> None:
 # Labeled rack enumeration
 
 
-def _labeled_racks(n: int) -> list[bytes]:
-    """All rack structures on {0..n-1}, each flattened to n*n bytes.
+def _labeled_racks(n: int, _all_racks: bool = False) -> list[bytes]:
+    """All quandle structures on {0..n-1}, each flattened to n*n bytes.
 
     Backtracking with forced-conjugate propagation: once ``s_a`` and ``s_b``
-    are known, ``s_{s_a(b)}`` must equal ``s_a s_b s_a^-1``.
+    are known, ``s_{s_a(b)}`` must equal ``s_a s_b s_a^-1``.  Candidate rows
+    for ``x`` fix ``x``; a forced row ``s_a s_b s_a^-1`` then fixes
+    ``s_a(b)`` too.  ``_all_racks`` drops the restriction and returns every
+    rack structure (the rack-first test oracle).
     """
     if n == 0:
         return [b""]
     perms = [tuple(p) for p in itertools.permutations(range(n))]
+    candidates = [
+        [p for p in perms if _all_racks or p[x] == x] for x in range(n)
+    ]
     rows: list[Optional[tuple[int, ...]]] = [None] * n
     assigned: list[int] = []
     results: list[bytes] = []
@@ -146,7 +161,7 @@ def _labeled_racks(n: int) -> list[bytes]:
                 flat.extend(row)  # type: ignore[arg-type]
             results.append(bytes(flat))
             return
-        for p in perms:
+        for p in candidates[x]:
             if not candidate_ok(x, p):
                 continue
             trail: list[int] = []
@@ -193,6 +208,66 @@ def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[bytes]:
     return reps
 
 
+def _canonical(flat: bytes, n: int) -> bytes:
+    """The lexicographically least relabeling of a flattened rack, i.e.
+    ``min(_relabel(flat, n, p, p^-1) for p in S_n)``, by branch and bound.
+
+    Cells are filled in row-major order.  Cell ``(0, j)`` of the relabeled
+    table is ``p(s_a(b))`` with ``a = p^-1(0)`` and ``b = p^-1(j)``; labels
+    are handed out in increasing order, so a state branches on the old
+    point ``b`` only when label ``j`` is still free, and an unlabeled value
+    takes the next free label (any other label makes the cell larger).
+    After each cell only the states tied on the least prefix survive.
+    Row 0 labels every point, so later rows just compare the survivors.
+    """
+    if n == 0:
+        return b""
+    # a state: (p, order) with p old -> new label (-1 if none) and
+    # order = p^-1 on the labels handed out so far, 0..len(order)-1
+    states: list[tuple[list[int], list[int]]] = [([-1] * n, [])]
+    for j in range(n):
+        best = n
+        survivors: list[tuple[list[int], list[int]]] = []
+        for p, order in states:
+            if len(order) > j:
+                branches = [(p, order)]
+            else:
+                branches = []
+                for b in range(n):
+                    if p[b] < 0:
+                        q = p[:]
+                        q[b] = j
+                        branches.append((q, order + [b]))
+            for q, o in branches:
+                v = flat[o[0] * n + o[j]]
+                label = q[v] if q[v] >= 0 else len(o)
+                if label > best:
+                    continue
+                if label < best:
+                    best = label
+                    survivors = []
+                if q[v] < 0:
+                    q = q[:]
+                    q[v] = label
+                    o = o + [v]
+                survivors.append((q, o))
+        states = survivors
+    for x in range(1, n):
+        best_row = None
+        survivors = []
+        for p, order in states:
+            base = order[x] * n
+            row = [p[flat[base + b]] for b in order]
+            if best_row is None or row < best_row:
+                best_row = row
+                survivors = []
+            if row == best_row:
+                survivors.append((p, order))
+        states = survivors
+    p, order = states[0]
+    return _relabel(flat, n, tuple(p), tuple(order))
+
+
 def _unflatten(flat: bytes, n: int) -> Rack:
     s = [tuple(flat[x * n : (x + 1) * n]) for x in range(n)]
     return check_rack(n, s)
@@ -201,13 +276,31 @@ def _unflatten(flat: bytes, n: int) -> Rack:
 def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
     """All racks of order ``n`` up to isomorphism, deterministically ordered.
 
+    Each rack is the lexicographically least table in its isomorphism
+    class, and the list is sorted by table.  It is built quandle-first: the
+    quandle classes ``Q`` of order ``n`` come from a labeled quandle search
+    and an orbit dedupe, and every class of GL-structures ``u`` on ``Q``
+    gives the rack ``G(Q, u)`` with rows ``u s_x``.  ``F`` and ``G`` are
+    inverse bijections between rack classes and GL-quandle classes, so
+    these racks are exhaustive and pairwise non-isomorphic; two equal
+    canonical forms would contradict that and raise ``RuntimeError``.
+
     Orders above 6 must be requested with ``long_run=True``; 8 is the
     supported maximum.
     """
     check_order(n, long_run)
-    labeled = _labeled_racks(n)
-    reps = _dedupe_by_orbits(labeled, n)
-    return [_unflatten(flat, n) for flat in reps]
+    canon = []
+    for flat in _dedupe_by_orbits(_labeled_racks(n), n):
+        for u, _size in gl_classes(_unflatten(flat, n)):
+            untwisted = bytes(u.images[v] for v in flat)
+            canon.append(_canonical(untwisted, n))
+    canon.sort()
+    for a, b in zip(canon, canon[1:]):
+        if a == b:
+            raise RuntimeError(
+                f"two GL-quandle classes untwist to isomorphic racks: {list(a)}"
+            )
+    return [_unflatten(flat, n) for flat in canon]
 
 
 # ---------------------------------------------------------------------------
@@ -346,48 +439,46 @@ def classify_gl(
     isomorphic underlying racks and the rack list holds one rack per class.
     Per-rack failures are recorded as diagnostics and make the result
     non-exhaustive rather than aborting the whole run.
+
+    With ``checkpoint_path``, the racks already finished there are not
+    redone, and this process appends each further ``checkpoint_every``
+    finished racks (under any ``jobs``); a failed rack is not checkpointed.
     """
     if racks is None:
         racks = enumerate_racks(n, long_run=long_run)
     tasks = [(n, i, rack, with_aut_glr) for i, rack in enumerate(racks)]
 
-    done_indices: set[int] = set()
     records: list[ClassRecord] = []
     diagnostics: list[str] = []
 
     if checkpoint_path is not None:
-        from . import formats
+        done, records = formats.read_checkpoint(checkpoint_path, racks)
+        tasks = [t for t in tasks if t[1] not in done]
 
-        done_indices, records = formats.read_checkpoint(checkpoint_path, racks)
-        tasks = [t for t in tasks if t[1] not in done_indices]
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            import multiprocessing
 
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            outcomes = pool.map(_classify_one_rack, tasks)
-    else:
-        outcomes = []
-        pending_checkpoint: list[tuple[int, list[ClassRecord]]] = []
-        for task in tasks:
-            outcome = _classify_one_rack(task)
-            outcomes.append(outcome)
-            if checkpoint_path is not None:
-                pending_checkpoint.append((outcome[0], outcome[1]))
-                if len(pending_checkpoint) >= checkpoint_every:
-                    from . import formats
-
-                    formats.append_checkpoint(checkpoint_path, pending_checkpoint)
-                    pending_checkpoint = []
-        if checkpoint_path is not None and pending_checkpoint:
-            from . import formats
-
-            formats.append_checkpoint(checkpoint_path, pending_checkpoint)
-
-    for _index, recs, error in outcomes:
-        records.extend(recs)
-        if error is not None:
-            diagnostics.append(error)
+            pool = stack.enter_context(multiprocessing.Pool(jobs))
+            # ordered, so that this process checkpoints racks in list order;
+            # chunks of about the size Pool.map picks
+            chunksize = max(1, len(tasks) // (4 * jobs))
+            outcomes = pool.imap(_classify_one_rack, tasks, chunksize)
+        else:
+            outcomes = map(_classify_one_rack, tasks)
+        finished: list[tuple[int, list[ClassRecord]]] = []
+        for rack_index, recs, error in outcomes:
+            records.extend(recs)
+            if error is not None:
+                # not checkpointed: a resumed run retries the rack
+                diagnostics.append(error)
+            elif checkpoint_path is not None:
+                finished.append((rack_index, recs))
+                if len(finished) >= checkpoint_every:
+                    formats.append_checkpoint(checkpoint_path, finished, racks)
+                    finished = []
+        if finished:
+            formats.append_checkpoint(checkpoint_path, finished, racks)
 
     if quandles_only:
         records = [r for r in records if r.flags.gl_quandle]

@@ -98,6 +98,8 @@ def cmd_classify(args) -> int:
         )
     except MemoryError:
         return _fail("classification ran out of memory", EXIT_NONEXHAUSTIVE)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_IO)
     _emit_records([formats.record_for_class(r) for r in result.records], args.out, args.table)
     if result.exhaustive and args.source == "enumerate" and not (args.quandles or args.medial):
         report = _classify.count_report(args.n, result)

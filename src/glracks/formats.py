@@ -7,6 +7,8 @@ printed tables; internal representation stays 0-based.
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,6 +27,7 @@ __all__ = [
     "write_records",
     "record_for_class",
     "format_record_table",
+    "checkpoint_header",
     "append_checkpoint",
     "read_checkpoint",
     "parse_bracketed_lists",
@@ -212,60 +215,117 @@ def format_record_table(record: StructureRecord) -> str:
 # Checkpoints
 
 
-def append_checkpoint(path: str, completed: list) -> None:
+def checkpoint_header(racks: Sequence[Rack]) -> str:
+    """The first line of a checkpoint for ``racks``: their order and count
+    and a sha256 of their tables, in list order."""
+    digest = hashlib.sha256()
+    for rack in racks:
+        rows = ";".join(_one_based(row) for row in rack.tables())
+        digest.update(f"s={rows}\n".encode())
+    n = racks[0].n if racks else 0
+    return (
+        f"# glracks checkpoint v1 n={n} racks={len(racks)} "
+        f"sha256={digest.hexdigest()}"
+    )
+
+
+def append_checkpoint(path: str, completed: list, racks: Sequence[Rack]) -> None:
     """Append finished racks' records plus per-rack watermarks.
 
-    ``completed`` holds ``(rack_index, class_records)`` pairs.
+    ``completed`` holds ``(rack_index, class_records)`` pairs for racks of
+    ``racks``; a new file starts with :func:`checkpoint_header`.
     """
     with open(path, "a", encoding="utf-8") as fh:
+        if fh.tell() == 0:
+            fh.write(checkpoint_header(racks) + "\n")
         for rack_index, records in completed:
             for rec in records:
                 fh.write(format_record_line(record_for_class(rec)) + "\n")
             fh.write(f"watermark rack={rack_index}\n")
 
 
+def _parse_watermark(line: str, count: int) -> int:
+    tokens = line.split()
+    if len(tokens) != 2 or not tokens[1].startswith("rack="):
+        raise RecordFormatError(f"bad watermark line {line!r}")
+    index = int(tokens[1][len("rack=") :])
+    if not 0 <= index < count:
+        raise RecordFormatError(f"watermark rack={index} outside 0..{count - 1}")
+    return index
+
+
 def read_checkpoint(path: str, racks: Sequence[Rack]):
     """Recover completed rack indices and their records from a checkpoint.
 
-    Records after the last watermark for a rack not yet watermarked are
-    discarded (the rack will be redone), so an interrupted run resumes to
-    the same final output as an uninterrupted one.
+    The file must start with the :func:`checkpoint_header` of ``racks``;
+    a checkpoint written for another rack list raises
+    :class:`RecordFormatError`, as does any malformed complete line.  A
+    torn last line (one with no trailing newline) and the records after
+    the last watermark are discarded and cut from the file, so their rack
+    is redone and appended after the last watermark.  An interrupted run
+    thus resumes to the same final output as an uninterrupted one.  A
+    missing file is a fresh start.
     """
     from .classify import ClassRecord
 
-    import os
-
     done: set[int] = set()
     records: list[ClassRecord] = []
-    if not os.path.exists(path):
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return done, records
+    kept = 0  # bytes up to the end of the header or the last watermark
+    offset = 0
     pending: list[StructureRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+    # the piece after the last newline is empty or a torn line
+    for lineno, raw in enumerate(data.split(b"\n")[:-1], start=1):
+        offset += len(raw) + 1
+        try:
+            line = raw.decode("utf-8").strip()
+            if lineno == 1:
+                header = checkpoint_header(racks)
+                if line != header:
+                    raise RecordFormatError(
+                        f"checkpoint belongs to another rack list: found "
+                        f"{line!r}, expected {header!r}"
+                    )
+                kept = offset
+            elif not line or line.startswith("#"):
                 continue
-            if line.startswith("watermark"):
-                token = line.split()[1]
-                rack_index = int(token.split("=", 1)[1])
-                done.add(rack_index)
+            elif line.startswith("watermark"):
+                index = _parse_watermark(line, len(racks))
+                tables = racks[index].tables()
                 for sr in pending:
+                    if sr.rack_index != index or sr.s != tables:
+                        raise RecordFormatError(
+                            f"record for rack {sr.rack_index} before the "
+                            f"watermark of rack {index}"
+                        )
                     gl = sr.glrack()
                     records.append(
                         ClassRecord(
                             n=sr.n,
-                            rack_index=sr.rack_index,
+                            rack_index=index,
                             rack=gl.rack,
                             u=gl.u,
                             d=Permutation(sr.d),
                             flags=sr.flags,
                         )
                     )
+                done.add(index)
                 pending = []
+                kept = offset
             else:
                 sr = parse_record_line(line)
+                if sr.u is None or sr.d is None or sr.flags is None:
+                    raise RecordFormatError("checkpoint record lacks u, d or flags")
                 sr.validate()
                 pending.append(sr)
+        except (RecordFormatError, RackError, ValueError) as exc:
+            raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc
+    if kept < len(data):
+        os.truncate(path, kept)
     return done, records
 
 

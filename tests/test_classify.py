@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from glracks import classify
 from glracks.classify import (
     LongRunRequired,
     classify_gl,
@@ -45,6 +47,56 @@ class TestEnumeration:
             enumerate_racks(-1)
         with pytest.raises(ValueError):
             enumerate_racks(9, long_run=True)
+
+
+def _relabeled(flat, n, p):
+    pinv = tuple(sorted(range(n), key=p.__getitem__))
+    return classify._relabel(flat, n, tuple(p), pinv)
+
+
+def _oracle_min(flat, n):
+    """The lex-least relabeling by brute force over S_n."""
+    return min(_relabeled(flat, n, p) for p in itertools.permutations(range(n)))
+
+
+class TestQuandleFirst:
+    def test_quandle_search_is_the_quandle_part_of_the_rack_search(self):
+        for n in range(6):
+            racks = classify._labeled_racks(n, _all_racks=True)
+            quandles = [
+                f for f in racks if all(f[x * n + x] == x for x in range(n))
+            ]
+            assert classify._labeled_racks(n) == quandles
+
+    def test_canonical_is_lex_least_relabeling_up_to_order_4(self):
+        for n in range(5):
+            for flat in classify._labeled_racks(n, _all_racks=True):
+                assert classify._canonical(flat, n) == _oracle_min(flat, n)
+
+    def test_canonical_of_random_relabelings_order_5(self):
+        rng = random.Random(5)
+        n = 5
+        for rack in enumerate_racks(n):
+            flat = bytes(v for row in rack.tables() for v in row)
+            least = _oracle_min(flat, n)
+            assert least == flat  # enumerated racks are already lex-least
+            for _ in range(3):
+                p = list(range(n))
+                rng.shuffle(p)
+                assert classify._canonical(_relabeled(flat, n, p), n) == least
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_enumeration_equals_rack_first_oracle(self, n):
+        labeled = classify._labeled_racks(n, _all_racks=True)
+        oracle = classify._dedupe_by_orbits(labeled, n)
+        got = [bytes(v for row in r.tables() for v in row) for r in enumerate_racks(n)]
+        assert got == oracle
+
+    def test_equal_canonical_forms_raise(self, monkeypatch):
+        real = classify.gl_classes
+        monkeypatch.setattr(classify, "gl_classes", lambda rack: real(rack) * 2)
+        with pytest.raises(RuntimeError):
+            enumerate_racks(3)
 
 
 class TestGLStructures:

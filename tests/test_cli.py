@@ -127,6 +127,53 @@ class TestClassify:
         assert run(capsys, "classify", "-n", "4", "--checkpoint", ckpt, "--out", p2)[0] == 0
         assert open(p1).read() == open(p2).read()
 
+    def test_checkpoint_under_jobs(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "ckpt.txt")
+        p1, p2, p3 = (str(tmp_path / f"{k}.txt") for k in "abc")
+        assert run(capsys, "classify", "-n", "4", "--out", p1)[0] == 0
+        argv = ("classify", "-n", "4", "--jobs", "2", "--checkpoint", ckpt)
+        assert run(capsys, *argv, "--out", p2)[0] == 0
+        assert os.path.exists(ckpt)
+        assert run(capsys, *argv, "--out", p3)[0] == 0
+        assert open(p1).read() == open(p2).read() == open(p3).read()
+
+    def test_checkpoint_of_another_order_is_refused(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "ckpt.txt")
+        assert run(capsys, "classify", "-n", "4", "--checkpoint", ckpt)[0] == 0
+        code, _out, err = run(capsys, "classify", "-n", "5", "--checkpoint", ckpt)
+        assert code == 1
+        assert err.startswith("error:") and "another rack list" in err
+
+    def test_checkpoint_torn_tail_resumes(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "ckpt.txt")
+        p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        argv = ("classify", "-n", "4", "--checkpoint", ckpt)
+        assert run(capsys, *argv, "--out", p1)[0] == 0
+        os.truncate(ckpt, os.path.getsize(ckpt) - 20)  # cut mid-line
+        # resuming twice checks that the first resume left a clean file
+        for _ in range(2):
+            assert run(capsys, *argv, "--out", p2)[0] == 0
+            assert open(p1).read() == open(p2).read()
+
+    def test_checkpoint_unwritable_exits_3(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "missing-dir" / "ckpt.txt")
+        code, _out, err = run(capsys, "classify", "-n", "2", "--checkpoint", ckpt)
+        assert code == 3
+        assert err.startswith("error:")
+
+    def test_checkpoint_malformed_middle_line(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "ckpt.txt")
+        argv = ("classify", "-n", "4", "--checkpoint", ckpt)
+        assert run(capsys, *argv)[0] == 0
+        with open(ckpt) as fh:
+            lines = fh.readlines()
+        lines[2] = lines[2].replace("medial=", "medial=x")
+        with open(ckpt, "w") as fh:
+            fh.writelines(lines)
+        code, _out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and ":3:" in err
+
 
 class TestOtherCommands:
     def test_enumerate_racks(self, capsys, tmp_path):

@@ -104,7 +104,7 @@ class TestCheckpoints:
         for rec in full.records:
             by_rack.setdefault(rec.rack_index, []).append(rec)
         append_checkpoint(
-            path, [(i, by_rack.get(i, [])) for i in range(prefix)]
+            path, [(i, by_rack.get(i, [])) for i in range(prefix)], racks
         )
         torn = by_rack[prefix][0]
         with open(path, "a") as fh:
@@ -127,6 +127,46 @@ class TestCheckpoints:
         resumed = classify_gl(5, racks, checkpoint_path=path)
         key = lambda rec: (rec.rack_index, rec.u.images)
         assert [key(r) for r in resumed.records] == [key(r) for r in full.records]
+
+    def test_failed_rack_is_redone_on_resume(self, tmp_path, monkeypatch):
+        from glracks import classify
+        from glracks.perm import GroupTooLargeError
+
+        racks = enumerate_racks(3)
+        full = classify_gl(3, racks)
+        real = classify.aut_group
+
+        def failing(rack):
+            if rack is racks[2]:
+                raise GroupTooLargeError("injected")
+            return real(rack)
+
+        path = str(tmp_path / "ckpt.txt")
+        monkeypatch.setattr(classify, "aut_group", failing)
+        assert not classify_gl(3, racks, checkpoint_path=path).exhaustive
+        monkeypatch.setattr(classify, "aut_group", real)
+        resumed = classify_gl(3, racks, checkpoint_path=path)
+        assert resumed.exhaustive
+        key = lambda rec: (rec.rack_index, rec.u.images)
+        assert [key(r) for r in resumed.records] == [key(r) for r in full.records]
+
+    def test_header_names_the_rack_list(self, tmp_path):
+        path = str(tmp_path / "ckpt.txt")
+        classify_gl(3, enumerate_racks(3), checkpoint_path=path)
+        assert len(read_checkpoint(path, enumerate_racks(3))[0]) == 6
+        with pytest.raises(RecordFormatError):
+            read_checkpoint(path, enumerate_racks(3)[::-1])
+
+    def test_record_without_u_is_rejected(self, tmp_path):
+        from glracks.formats import checkpoint_header
+
+        racks = enumerate_racks(2)
+        path = str(tmp_path / "ckpt.txt")
+        with open(path, "w") as fh:
+            fh.write(checkpoint_header(racks) + "\n")
+            fh.write("n=2 rack=0 s=1,2;1,2\nwatermark rack=0\n")
+        with pytest.raises(RecordFormatError, match=":2:"):
+            read_checkpoint(path, racks)
 
     def test_missing_checkpoint_is_fresh_start(self, tmp_path):
         done, records = read_checkpoint(str(tmp_path / "nope.txt"), [])
