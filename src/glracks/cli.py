@@ -28,7 +28,7 @@ EXIT_IO = 3
 def _load_records(path: str, validate: bool = True) -> list[StructureRecord]:
     try:
         return formats.read_records(path, validate=validate)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise SystemExit(_fail(str(exc), EXIT_IO))
     except RecordFormatError as exc:
         raise SystemExit(_fail(str(exc), EXIT_INVALID))
@@ -51,25 +51,18 @@ def _emit_records(records: list[StructureRecord], out: Optional[str], table: boo
 
 def cmd_check(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        scanned = formats.scan_records(args.file)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     violations = 0
     count = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("watermark"):
-            continue
+    for lineno, found in scanned:
         count += 1
-        try:
-            record = formats.parse_record_line(line)
-            record.validate()
-        except (RecordFormatError, RackError, ValueError) as exc:
+        if isinstance(found, ValueError):
             violations += 1
-            print(f"{args.file}:{lineno}: INVALID: {exc}")
-            continue
-        print(f"{args.file}:{lineno}: ok")
+            print(f"{args.file}:{lineno}: INVALID: {found}")
+        else:
+            print(f"{args.file}:{lineno}: ok")
     print(f"{count - violations}/{count} structures valid")
     return EXIT_OK if violations == 0 else EXIT_INVALID
 
@@ -295,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(str(exc), EXIT_INVALID)
     except _classify.LongRunRequired as exc:
         return _fail(str(exc), EXIT_NONEXHAUSTIVE)
-    except formats.BracketParseError as exc:
+    except (formats.BracketParseError, formats.EncodingError) as exc:
         return _fail(str(exc), EXIT_IO)
     except (RackError, RecordFormatError) as exc:
         return _fail(str(exc), EXIT_INVALID)

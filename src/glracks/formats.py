@@ -10,19 +10,21 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .glrack import GLFlags, GLRack, check_gl, down_map, flags as compute_flags
+from .glrack import GLFlags, GLRack, check_gl, down_map, is_legendrian
 from .perm import Permutation, print_cycles
-from .racks import Rack, RackError, check_rack
+from .racks import Rack, RackError, check_rack, is_medial, is_quandle
 
 __all__ = [
     "StructureRecord",
     "RecordFormatError",
+    "EncodingError",
     "BracketParseError",
     "AmbiguousOrientationError",
     "parse_record_line",
     "format_record_line",
+    "scan_records",
     "read_records",
     "write_records",
     "record_for_class",
@@ -37,6 +39,54 @@ __all__ = [
 
 class RecordFormatError(ValueError):
     """Malformed or inconsistent structure-record text."""
+
+
+class EncodingError(ValueError):
+    """A file that is not UTF-8 text."""
+
+
+def _read_lines(path: str) -> list[str]:
+    """The lines of ``path``; :class:`EncodingError` when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+class _RackTables:
+    """The rack-level checks of the records of one file read.
+
+    Each distinct table ``(n, s)`` is checked once: ``check_rack`` (its
+    rack, or the error it raised) and, when a record carries flags,
+    ``is_quandle`` and ``is_medial``.  A results file repeats each rack
+    table once per GL-structure on it.
+    """
+
+    def __init__(self) -> None:
+        self._racks: dict = {}
+        self._flags: dict = {}
+
+    def rack(self, n: int, s) -> Rack:
+        key = (n, tuple(map(tuple, s)))  # rows given as lists are accepted
+        found = self._racks.get(key)
+        if found is None:
+            try:
+                found = check_rack(n, s)
+            except RackError as exc:
+                found = exc
+            self._racks[key] = found
+        if isinstance(found, RackError):
+            raise found.with_traceback(None)
+        return found
+
+    def quandle_medial(self, n: int, s) -> tuple[bool, bool]:
+        key = (n, tuple(map(tuple, s)))
+        found = self._flags.get(key)
+        if found is None:
+            rack = self.rack(n, s)
+            found = self._flags[key] = (is_quandle(rack), is_medial(rack))
+        return found
 
 
 @dataclass(frozen=True)
@@ -63,9 +113,16 @@ class StructureRecord:
             return None
         return check_gl(self.rack(), Permutation(self.u))
 
-    def validate(self) -> None:
-        """Full cross-check; raises on any inconsistency."""
-        rack = self.rack()
+    def validate(self, tables: Optional[_RackTables] = None) -> None:
+        """Full cross-check; raises on any inconsistency.
+
+        ``tables`` holds the rack-level checks already made on other
+        records of the same file read; ``u``, ``d`` and the flags are
+        checked on every call.
+        """
+        if tables is None:
+            tables = _RackTables()
+        rack = tables.rack(self.n, self.s)
         if self.u is not None:
             gl = check_gl(rack, Permutation(self.u))
             if self.d is not None:
@@ -75,8 +132,10 @@ class StructureRecord:
                         f"stored d {_one_based(self.d)} != derived down map "
                         f"{_one_based(derived.images)}"
                     )
-            if self.flags is not None and compute_flags(gl) != self.flags:
-                raise RecordFormatError("stored flags disagree with recomputation")
+            if self.flags is not None:
+                quandle, medial = tables.quandle_medial(self.n, self.s)
+                if GLFlags(quandle, medial, is_legendrian(gl)) != self.flags:
+                    raise RecordFormatError("stored flags disagree with recomputation")
         elif self.d is not None:
             raise RecordFormatError("d present without u")
 
@@ -121,7 +180,10 @@ def parse_record_line(line: str) -> StructureRecord:
     d = _parse_images(fields.pop("d"), n, "d") if "d" in fields else None
     rack_index = None
     if "rack" in fields:
-        rack_index = int(fields.pop("rack"))
+        try:
+            rack_index = int(fields.pop("rack"))
+        except ValueError as exc:
+            raise RecordFormatError("bad rack field") from exc
     fl = None
     flag_keys = ("quandle", "medial", "legendrian")
     if any(k in fields for k in flag_keys):
@@ -156,20 +218,43 @@ def format_record_line(record: StructureRecord) -> str:
     return " ".join(parts)
 
 
+def scan_records(
+    path: str, validate: bool = True
+) -> Iterator[tuple[int, StructureRecord | ValueError]]:
+    """``(lineno, record)`` for each record line of ``path``, or
+    ``(lineno, error)`` for one that does not parse or validate.
+
+    The whole file is read before this returns, so ``OSError``, or
+    :class:`EncodingError` when it is not UTF-8, comes before any line.
+    Each distinct rack table is checked once per call; ``u``, ``d`` and
+    the flags once per record.
+    """
+    return _scan_lines(_read_lines(path), validate)
+
+
+def _scan_lines(lines: list[str], validate: bool):
+    tables = _RackTables()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("watermark"):
+            continue
+        try:
+            found = parse_record_line(line)
+            if validate:
+                found.validate(tables)
+        except (RecordFormatError, RackError, ValueError) as exc:
+            found = exc
+        yield lineno, found
+
+
 def read_records(path: str, validate: bool = True) -> list[StructureRecord]:
+    """The records of ``path``; :class:`RecordFormatError` names the
+    ``path:line`` of the first bad one."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("watermark"):
-                continue
-            try:
-                record = parse_record_line(line)
-                if validate:
-                    record.validate()
-            except (RecordFormatError, RackError, ValueError) as exc:
-                raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc
-            records.append(record)
+    for lineno, found in scan_records(path, validate):
+        if isinstance(found, ValueError):
+            raise RecordFormatError(f"{path}:{lineno}: {found}") from found
+        records.append(found)
     return records
 
 
@@ -270,6 +355,7 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
 
     done: set[int] = set()
     records: list[ClassRecord] = []
+    checked = _RackTables()
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -302,13 +388,12 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
                             f"record for rack {sr.rack_index} before the "
                             f"watermark of rack {index}"
                         )
-                    gl = sr.glrack()
                     records.append(
                         ClassRecord(
                             n=sr.n,
                             rack_index=index,
-                            rack=gl.rack,
-                            u=gl.u,
+                            rack=checked.rack(sr.n, sr.s),
+                            u=Permutation(sr.u),
                             d=Permutation(sr.d),
                             flags=sr.flags,
                         )
@@ -320,7 +405,7 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
                 sr = parse_record_line(line)
                 if sr.u is None or sr.d is None or sr.flags is None:
                     raise RecordFormatError("checkpoint record lacks u, d or flags")
-                sr.validate()
+                sr.validate(checked)
                 pending.append(sr)
         except (RecordFormatError, RackError, ValueError) as exc:
             raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc
@@ -348,7 +433,8 @@ def parse_bracketed_lists(text: str):
     """Parse nested bracketed integer lists, e.g. ``[[[1,2],[2,1]], ...]``.
 
     Returns the top-level value (a possibly nested list of ints).  Errors
-    carry 1-based line and column positions.
+    carry 1-based line and column positions.  The open lists are kept on
+    an explicit stack, so any depth of nesting parses.
     """
     pos = 0
     line = 1
@@ -358,45 +444,35 @@ def parse_bracketed_lists(text: str):
     def error(message: str):
         return BracketParseError(message, line, col)
 
-    def advance(k: int = 1):
+    def advance():
         nonlocal pos, line, col
-        for _ in range(k):
-            if pos < length and text[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
+        if text[pos] == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+        pos += 1
 
     def skip_ws():
         while pos < length and text[pos] in " \t\r\n":
             advance()
 
-    def parse_value():
+    stack: list[list] = []  # the lists opened and not yet closed
+    while True:
+        # a value starts here
         skip_ws()
         if pos >= length:
             raise error("unexpected end of input")
         ch = text[pos]
         if ch == "[":
             advance()
-            items = []
             skip_ws()
-            if pos < length and text[pos] == "]":
-                advance()
-                return items
-            while True:
-                items.append(parse_value())
-                skip_ws()
-                if pos >= length:
-                    raise error("unterminated list")
-                if text[pos] == ",":
-                    advance()
-                    continue
-                if text[pos] == "]":
-                    advance()
-                    return items
-                raise error(f"expected ',' or ']', found {text[pos]!r}")
-        if ch == "-" or ch.isdigit():
+            if pos >= length or text[pos] != "]":
+                stack.append([])
+                continue
+            advance()
+            value = []
+        elif ch == "-" or ch.isdigit():
             start = pos
             if ch == "-":
                 advance()
@@ -404,10 +480,28 @@ def parse_bracketed_lists(text: str):
                 raise error("malformed integer")
             while pos < length and text[pos].isdigit():
                 advance()
-            return int(text[start:pos])
-        raise error(f"unexpected character {ch!r}")
-
-    value = parse_value()
+            try:
+                value = int(text[start:pos])
+            except ValueError:  # a digit int() does not read, or too many
+                raise error("malformed integer") from None
+        else:
+            raise error(f"unexpected character {ch!r}")
+        # the value is complete: add it to the innermost open list, and
+        # close every list that ends after it
+        while stack:
+            stack[-1].append(value)
+            skip_ws()
+            if pos >= length:
+                raise error("unterminated list")
+            if text[pos] == ",":
+                advance()
+                break
+            if text[pos] != "]":
+                raise error(f"expected ',' or ']', found {text[pos]!r}")
+            advance()
+            value = stack.pop()
+        else:
+            break
     skip_ws()
     if pos < length:
         raise error(f"trailing content {text[pos]!r}")
@@ -425,8 +519,10 @@ def _racks_from_tables(tables, transpose: bool) -> list[Rack]:
             raise RackError(f"rack table is not square (order {n})")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise RackError(f"table entry {v!r} outside 1..{n}")
+                if not isinstance(v, int):
+                    raise RackError("table entry is a list, not an integer")
+                if not 1 <= v <= n:
+                    raise RackError(f"table entry {v} outside 1..{n}")
         if transpose:
             rows = [[table[x][y] - 1 for x in range(n)] for y in range(n)]
         else:
@@ -442,9 +538,7 @@ def ingest_rack_library(path: str, orientation: str = "auto") -> list[Rack]:
     ``"rows"`` means ``s_x(y)``, ``"cols"`` means ``s_y(x)``, and ``"auto"``
     tries both and requires exactly one to validate across the whole file.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    tables = parse_bracketed_lists(text)
+    tables = parse_bracketed_lists("".join(_read_lines(path)))
     if not isinstance(tables, list):
         raise RackError("library file must contain a top-level list of racks")
     if orientation == "rows":

@@ -8,6 +8,7 @@ bi-Legendrian presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .perm import Permutation
 from .racks import Rack, RackError, is_medial, is_quandle, theta
@@ -75,15 +76,14 @@ def check_gl(rack: Rack, u: Permutation) -> GLRack:
         raise GLRackError(f"u has degree {u.degree}, rack has order {rack.n}")
     ui = u.images
     rows = rack.tables()
-    n = rack.n
-    for x in range(n):
-        rx = rows[x]
-        target = rows[ui[x]]
-        if any(ui[rx[i]] != target[ui[i]] for i in range(n)):
+    # the rows of u s_x and s_x u, each built in C
+    u_s = [itemgetter(*rx)(ui) for rx in rows]
+    s_u = [itemgetter(*ui)(rx) for rx in rows]
+    for x, row in enumerate(u_s):
+        if row != s_u[ui[x]]:
             raise NotAutomorphismError(x)
-    for x in range(n):
-        rx = rows[x]
-        if any(ui[rx[i]] != rx[ui[i]] for i in range(n)):
+    for x, row in enumerate(u_s):
+        if row != s_u[x]:
             raise DoesNotCommuteError(x)
     return GLRack(rack, u)
 
@@ -103,7 +103,8 @@ def down_map(gl: GLRack) -> Permutation:
 
 def is_legendrian(gl: GLRack) -> bool:
     """Whether ``theta = u^-2``, i.e. the GL-rack is a Legendrian rack."""
-    return theta(gl.rack) == gl.u.inverse() ** 2
+    u_inv = gl.u.inverse()
+    return theta(gl.rack) == u_inv * u_inv
 
 
 def flags(gl: GLRack) -> GLFlags:

@@ -195,7 +195,10 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for t in points_txt:
             if not t.isdigit():
                 raise CycleParseError(f"bad point {t!r} in {text!r}")
-            p = int(t)
+            try:
+                p = int(t)
+            except ValueError as exc:  # a digit int() does not read, or too many
+                raise CycleParseError(f"bad point {t!r} in {text!r}") from exc
             if not 1 <= p <= degree:
                 raise CycleParseError(f"point {p} out of range 1..{degree}")
             if p - 1 in used:

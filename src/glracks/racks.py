@@ -9,6 +9,7 @@ A rack is a finite carrier ``{0, ..., n-1}`` together with one permutation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .perm import (
@@ -100,13 +101,11 @@ def check_rack(n: int, s: Sequence[Permutation | Sequence[int]]) -> Rack:
                 raise NotABijectionError(x, f"degree {p.degree} != {n}")
             perms.append(p)
     rows = [p.images for p in perms]
-    for x in range(n):
-        rx = rows[x]
+    # then[y](f) is the row of f s_y (s_y, then f), built in C
+    then = [itemgetter(*row) for row in rows]
+    for x, rx in enumerate(rows):
         for y in range(n):
-            ry = rows[y]
-            rz = rows[rx[y]]
-            # s_x(s_y(i)) == s_{s_x(y)}(s_x(i)) for all i
-            if any(rx[ry[i]] != rz[rx[i]] for i in range(n)):
+            if then[y](rx) != then[x](rows[rx[y]]):
                 raise SelfDistributivityError(x, y)
     return Rack(n, tuple(perms))
 
@@ -118,17 +117,17 @@ def is_quandle(rack: Rack) -> bool:
 def is_medial(rack: Rack) -> bool:
     """Whether ``s_{s_x(z)} s_y == s_{s_x(y)} s_z`` for all triples."""
     rows = rack.tables()
-    n = rack.n
-    for x in range(n):
-        rx = rows[x]
-        for y in range(n):
-            ry = rows[y]
-            for z in range(y + 1, n):  # symmetric in (y, z)
-                rz = rows[z]
-                left_outer = rows[rx[z]]
-                right_outer = rows[rx[y]]
-                if any(left_outer[ry[i]] != right_outer[rz[i]] for i in range(n)):
-                    return False
+    # products[a][b] is the row of s_a s_b.  Each is read n times below, so
+    # all are built once, as strings of code points: one byte a point up to
+    # order 256, and composed in C by str.translate.
+    text_rows = ["".join(map(chr, row)) for row in rows]
+    products = [tuple(tb.translate(ra) for tb in text_rows) for ra in rows]
+    for rx in rows:
+        # entry (y, z) of this matrix is s_{s_x(y)} s_z; the identity says
+        # that it is symmetric
+        matrix = [products[a] for a in rx]
+        if list(zip(*matrix)) != matrix:
+            return False
     return True
 
 

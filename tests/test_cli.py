@@ -35,6 +35,71 @@ class TestCheck:
         code, _out, err = run(capsys, "check", str(tmp_path / "nope.txt"))
         assert code == 3
 
+    def test_each_bad_record_is_reported(self, capsys, tmp_path):
+        from test_formats import MIXED, MIXED_ERRORS
+
+        path = str(tmp_path / "mixed.txt")
+        with open(path, "w") as fh:
+            fh.write(MIXED)
+        code, out, _err = run(capsys, "check", path)
+        expected = [
+            f"{path}:{lineno}: INVALID: {MIXED_ERRORS[lineno]}"
+            if lineno in MIXED_ERRORS
+            else f"{path}:{lineno}: ok"
+            for lineno in (2, 3, 4, 5, 6, 8, 9, 10)
+        ]
+        assert code == 1
+        assert out.splitlines() == expected + ["2/8 structures valid"]
+
+
+class TestUnreadableInput:
+    """Input that is not UTF-8 text, or nested too deep for a recursive
+    parser, ends in an ``error:`` line and an exit code, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "FILE"),
+            ("aut", "FILE"),
+            ("glstructures", "FILE"),
+            ("functor", "f", "FILE"),
+            ("functor", "g", "FILE"),
+            ("hom", "FILE", "FILE"),
+            ("quotient", "assoc", "FILE"),
+            ("classify", "-n", "1", "--source", "FILE"),
+        ],
+    )
+    def test_not_utf8_exits_3(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "utf16.txt")
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfen\x00=\x001\x00 \x00s\x00=\x001\x00\n\x00")
+        code, out, err = run(capsys, *(path if a == "FILE" else a for a in argv))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: not UTF-8 text: invalid start byte\n"
+
+    def test_directory_exits_3(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["aut", str(tmp_path)])
+        assert info.value.code == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_deep_nesting_exits_3(self, capsys, tmp_path):
+        lib = str(tmp_path / "deep.txt")
+        with open(lib, "w") as fh:
+            fh.write("[" * 3000)
+        code, _out, err = run(capsys, "classify", "-n", "1", "--source", lib)
+        assert code == 3
+        assert err == "error: line 1, column 3001: unexpected end of input\n"
+
+    def test_deep_table_entry_exits_1(self, capsys, tmp_path):
+        lib = str(tmp_path / "deep.txt")
+        with open(lib, "w") as fh:
+            fh.write("[[[" + "[" * 3000 + "]" * 3000 + "]]]")
+        code, _out, err = run(capsys, "classify", "-n", "1", "--source", lib)
+        assert code == 1
+        assert err.startswith("error:") and "not an integer" in err
+
 
 class TestClassify:
     def test_stdout_counts(self, capsys):

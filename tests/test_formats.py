@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -90,6 +91,115 @@ class TestRecordLines:
     def test_table_format(self):
         record = parse_record_line("n=2 s=2,1;2,1 u=1,2 d=2,1")
         assert format_record_table(record) == "n=2  [(12),(12)]  [id,(12)]"
+
+
+# Records on one rack (the permutation rack of (123), rack 5 of order 3)
+# and one non-rack table (rack 9): line 3 has a wrong d, line 4 a wrong
+# medial flag, line 6 a u that is no automorphism, and the bad table is on
+# lines 5, 9 and 10.
+MIXED = """\
+# glracks structure records v1
+n=3 rack=5 s=2,3,1;2,3,1;2,3,1 u=1,2,3 d=3,1,2 quandle=0 medial=1 legendrian=0
+n=3 rack=5 s=2,3,1;2,3,1;2,3,1 u=2,3,1 d=1,2,3 quandle=0 medial=1 legendrian=1
+n=3 rack=5 s=2,3,1;2,3,1;2,3,1 u=3,1,2 d=1,2,3 quandle=0 medial=0 legendrian=0
+n=3 rack=9 s=1,2,3;1,2,3;1,3,2 u=1,2,3 d=1,2,3 quandle=1 medial=1 legendrian=1
+n=3 rack=5 s=2,3,1;2,3,1;2,3,1 u=2,1,3 d=1,2,3 quandle=0 medial=1 legendrian=0
+watermark rack=5
+n=3 rack=5 s=2,3,1;2,3,1;2,3,1 u=2,3,1 d=2,3,1 quandle=0 medial=1 legendrian=1
+n=3 rack=9 s=1,2,3;1,2,3;1,3,2 u=1,2,3 d=1,2,3 quandle=1 medial=1 legendrian=1
+n=3 s=1,2,3;1,2,3;1,3,2
+"""
+
+_NOT_A_RACK = "self-distributivity fails at (x=2, y=1): s_x s_y != s_(s_x(y)) s_x"
+MIXED_ERRORS = {
+    3: "stored d 1,2,3 != derived down map 2,3,1",
+    4: "stored flags disagree with recomputation",
+    5: _NOT_A_RACK,
+    6: "u is not a rack automorphism: u s_x != s_u(x) u at x=0",
+    9: _NOT_A_RACK,
+    10: _NOT_A_RACK,
+}
+
+
+class TestOneCheckPerTable:
+    """Each rack table is checked once per read; no bad record hides
+    behind an earlier good one on the same table."""
+
+    def test_scan_reports_every_bad_line(self, tmp_path):
+        from glracks.formats import scan_records
+
+        path = str(tmp_path / "mixed.txt")
+        with open(path, "w") as fh:
+            fh.write(MIXED)
+        scanned = list(scan_records(path))
+        assert [lineno for lineno, _ in scanned] == [2, 3, 4, 5, 6, 8, 9, 10]
+        errors = {
+            lineno: str(found) for lineno, found in scanned if isinstance(found, ValueError)
+        }
+        assert errors == MIXED_ERRORS
+
+    def test_read_records_raises_at_first_bad_line(self, tmp_path):
+        path = str(tmp_path / "mixed.txt")
+        with open(path, "w") as fh:
+            fh.write(MIXED)
+        with pytest.raises(RecordFormatError, match=r"mixed\.txt:3: stored d"):
+            read_records(path)
+        # without the bad lines, the rest reads
+        lines = MIXED.splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.writelines(lines[i - 1] for i in (1, 2, 7, 8))
+        assert len(read_records(path)) == 2
+        with open(path, "w") as fh:
+            fh.writelines(lines[i - 1] for i in (1, 2, 8, 10))
+        with pytest.raises(RecordFormatError, match=r"mixed\.txt:4: self-distributivity"):
+            read_records(path)
+
+    def test_validate_alone_is_unchanged(self):
+        for lineno, line in enumerate(MIXED.splitlines(), start=1):
+            if line.startswith(("#", "watermark")):
+                continue
+            record = parse_record_line(line)
+            if lineno in MIXED_ERRORS:
+                with pytest.raises(ValueError, match=re.escape(MIXED_ERRORS[lineno])):
+                    record.validate()
+            else:
+                record.validate()
+
+    @pytest.mark.parametrize(
+        "field, tampered",
+        [
+            ("medial=1", "medial=0"),
+            ("legendrian=0", "legendrian=1"),
+            ("d=1,2,3", "d=3,2,1"),
+            ("u=3,1,2", "u=3,2,1"),
+        ],
+    )
+    def test_checkpoint_refuses_a_tampered_later_record(self, tmp_path, field, tampered):
+        racks = enumerate_racks(3)
+        path = str(tmp_path / "ckpt.txt")
+        classify_gl(3, racks, checkpoint_path=path)
+        with open(path) as fh:
+            lines = fh.readlines()
+        # the last record of rack 5, after two good records on its table
+        lineno = max(i for i, line in enumerate(lines, start=1) if "rack=5 " in line)
+        assert lines[lineno - 3].startswith("n=3 rack=5")
+        assert field in lines[lineno - 1]
+        lines[lineno - 1] = lines[lineno - 1].replace(field, tampered, 1)
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(RecordFormatError, match=f":{lineno}:"):
+            read_checkpoint(path, racks)
+
+    def test_checkpoint_records_use_the_checked_rack(self, tmp_path):
+        racks = enumerate_racks(4)
+        path = str(tmp_path / "ckpt.txt")
+        full = classify_gl(4, racks, checkpoint_path=path)
+        done, records = read_checkpoint(path, racks)
+        assert done == set(range(len(racks)))
+        key = lambda rec: (rec.rack_index, rec.rack, rec.u, rec.d, rec.flags)
+        assert [key(r) for r in records] == [key(r) for r in full.records]
+        # one Rack object per table
+        assert len({id(r.rack) for r in records}) == len(racks)
 
 
 class TestCheckpoints:

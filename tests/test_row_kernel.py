@@ -1,0 +1,194 @@
+"""The row kernels of check_rack, is_medial and check_gl against the
+element-wise loops they replaced, kept here as reference oracles."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from glracks.classify import enumerate_racks, gl_classes
+from glracks.glrack import (
+    DoesNotCommuteError,
+    GLRackError,
+    NotAutomorphismError,
+    check_gl,
+)
+from glracks.morphisms import hom_rack
+from glracks.perm import Permutation
+from glracks.racks import (
+    NotABijectionError,
+    Rack,
+    RackError,
+    SelfDistributivityError,
+    check_rack,
+    is_medial,
+)
+
+# ---------------------------------------------------------------------------
+# Oracles: one point at a time
+
+
+def check_rack_oracle(n, s):
+    if len(s) != n:
+        raise RackError(f"expected {n} permutations, got {len(s)}")
+    perms = []
+    for x, entry in enumerate(s):
+        try:
+            p = entry if isinstance(entry, Permutation) else Permutation(entry)
+        except ValueError as exc:
+            raise NotABijectionError(x, str(exc)) from exc
+        if p.degree != n:
+            raise NotABijectionError(x, f"degree {p.degree} != {n}")
+        perms.append(p)
+    rows = [p.images for p in perms]
+    for x in range(n):
+        rx = rows[x]
+        for y in range(n):
+            ry = rows[y]
+            rz = rows[rx[y]]
+            if any(rx[ry[i]] != rz[rx[i]] for i in range(n)):
+                raise SelfDistributivityError(x, y)
+    return Rack(n, tuple(perms))
+
+
+def is_medial_oracle(rack):
+    rows = rack.tables()
+    n = rack.n
+    for x in range(n):
+        rx = rows[x]
+        for y in range(n):
+            ry = rows[y]
+            for z in range(y + 1, n):
+                rz = rows[z]
+                if any(rows[rx[z]][ry[i]] != rows[rx[y]][rz[i]] for i in range(n)):
+                    return False
+    return True
+
+
+def check_gl_oracle(rack, u):
+    if u.degree != rack.n:
+        raise GLRackError(f"u has degree {u.degree}, rack has order {rack.n}")
+    ui = u.images
+    rows = rack.tables()
+    n = rack.n
+    for x in range(n):
+        rx = rows[x]
+        target = rows[ui[x]]
+        if any(ui[rx[i]] != target[ui[i]] for i in range(n)):
+            raise NotAutomorphismError(x)
+    for x in range(n):
+        rx = rows[x]
+        if any(ui[rx[i]] != rx[ui[i]] for i in range(n)):
+            raise DoesNotCommuteError(x)
+    return rack
+
+
+def outcome(fn, *args):
+    """What a check did: its result, or its error's class, point and text."""
+    try:
+        return ("ok", fn(*args))
+    except RackError as exc:
+        return (type(exc), getattr(exc, "x", None), getattr(exc, "y", None), str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+
+RACKS = [rack for n in range(6) for rack in enumerate_racks(n)]
+
+
+@st.composite
+def random_tables(draw):
+    """n <= 5 rows, each a random permutation or (rarely) a random list."""
+    n = draw(st.integers(0, 5))
+    row = st.one_of(
+        st.permutations(range(n)).map(tuple),
+        st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n).map(tuple),
+    )
+    return n, draw(st.lists(row, min_size=n, max_size=n))
+
+
+@st.composite
+def perturbed_racks(draw):
+    """A rack of order <= 5 with one row replaced by a permutation."""
+    rack = draw(st.sampled_from([r for r in RACKS if r.n]))
+    rows = list(rack.tables())
+    x = draw(st.integers(0, rack.n - 1))
+    rows[x] = tuple(draw(st.permutations(range(rack.n))))
+    return rack.n, rows
+
+
+class TestCheckRack:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(random_tables(), perturbed_racks()))
+    def test_agrees_with_oracle(self, table):
+        n, rows = table
+        assert outcome(check_rack, n, rows) == outcome(check_rack_oracle, n, rows)
+
+    def test_agrees_on_every_rack_of_order_at_most_5(self):
+        for rack in RACKS:
+            assert check_rack(rack.n, rack.tables()) == check_rack_oracle(rack.n, rack.tables())
+
+    def test_first_failing_pair(self):
+        # s_2 = (23), the others the identity: s_2 s_1 = s_2 but
+        # s_{s_2(1)} s_2 = s_2 s_2 = id, so the axiom first fails at
+        # x=2, y=1 (0-based)
+        rows = [(0, 1, 2), (0, 1, 2), (0, 2, 1)]
+        with pytest.raises(SelfDistributivityError) as info:
+            check_rack(3, rows)
+        assert (info.value.x, info.value.y) == (2, 1)
+
+
+class TestIsMedial:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=n, max_size=n)
+    ))
+    @example([(0, 1, 2), (0, 1, 2), (0, 2, 1)])  # fails only at the last x
+    def test_agrees_with_oracle_on_any_table(self, rows):
+        # the identity is defined on any table, rack or not
+        table = Rack(len(rows), tuple(Permutation(row) for row in rows))
+        assert is_medial(table) == is_medial_oracle(table)
+
+    def test_agrees_on_every_rack_of_order_at_most_5(self):
+        medial = [is_medial(rack) for rack in RACKS]
+        assert medial == [is_medial_oracle(rack) for rack in RACKS]
+        assert True in medial and False in medial
+
+    def test_agrees_on_hom_racks(self):
+        targets = [r for r in enumerate_racks(3) if is_medial_oracle(r)]
+        sizes = set()
+        for source in enumerate_racks(3):
+            for target in targets:
+                rack, _homs = hom_rack(source, target)
+                sizes.add(rack.n)
+                assert is_medial(rack) == is_medial_oracle(rack)
+        assert max(sizes) > 5
+
+
+@st.composite
+def racks_and_maps(draw):
+    """A rack of order <= 5 and a random permutation, or one of its
+    GL-structure class representatives."""
+    rack = draw(st.sampled_from(RACKS))
+    random_u = st.permutations(range(rack.n)).map(Permutation)
+    structures = [u for u, _size in gl_classes(rack)]
+    u = draw(st.one_of(random_u, st.sampled_from(structures)))
+    return rack, u
+
+
+class TestCheckGL:
+    @settings(max_examples=400, deadline=None)
+    @given(racks_and_maps())
+    def test_agrees_with_oracle(self, pair):
+        rack, u = pair
+        got = outcome(check_gl, rack, u)
+        want = outcome(check_gl_oracle, rack, u)
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1].rack is rack and got[1].u is u
+        else:
+            assert got == want
+
+    def test_wrong_degree(self):
+        rack = RACKS[5]
+        u = Permutation.identity(rack.n + 1)
+        assert outcome(check_gl, rack, u) == outcome(check_gl_oracle, rack, u)
