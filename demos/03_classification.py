@@ -4,7 +4,7 @@ Run as: python3 demos/03_classification.py
 """
 
 from glracks import classify_gl, count_report, enumerate_racks
-from glracks.formats import StructureRecord, format_record_table
+from glracks.formats import format_record_table
 
 # Step 1: all racks of order 4 up to isomorphism, by backtracking over
 # permutation rows with conjugation constraints propagated, then picking
@@ -19,15 +19,7 @@ print("GL-rack classes of order 4:", len(result.records))
 
 print("\nfirst ten classes:")
 for rec in result.records[:10]:
-    record = StructureRecord(
-        n=rec.n,
-        s=rec.rack.tables(),
-        u=rec.u.images,
-        d=rec.d.images,
-        flags=rec.flags,
-        rack_index=rec.rack_index,
-    )
-    print(" ", format_record_table(record))
+    print(" ", format_record_table(rec))
 
 # The eight headline counts per order.  Orders 7 and 8 work too but take
 # much longer; pass long_run=True (or --long-run on the command line).

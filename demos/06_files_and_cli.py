@@ -9,18 +9,13 @@ import sys
 import tempfile
 
 from glracks import classify_gl, enumerate_racks
-from glracks.formats import (
-    ingest_rack_library,
-    read_records,
-    record_for_class,
-    write_records,
-)
+from glracks.formats import ingest_rack_library, read_records, write_records
 
 workdir = tempfile.mkdtemp(prefix="glracks-demo-")
 
 # Records are one-per-line, 1-based, and self-describing; the reader
 # revalidates every structure, including the stored down map and flags.
-records = [record_for_class(rec) for rec in classify_gl(3, enumerate_racks(3)).records]
+records = classify_gl(3, enumerate_racks(3)).records
 path = os.path.join(workdir, "order3.txt")
 write_records(path, records)
 print("wrote", len(records), "records to", path)

@@ -49,7 +49,6 @@ from .morphisms import (
     is_bihom,
 )
 from .classify import (
-    ClassRecord,
     CountReport,
     gl_structures,
     gl_structures_brute,

@@ -17,6 +17,9 @@ automorphism group inside the full automorphism group; isomorphism classes
 of GL-structures are conjugacy orbits under the automorphism group.  The
 naive filter of all of ``S_n`` is kept as a cross-check oracle, and so is
 the rack-first labeled search.
+
+Each GL-rack class is one :class:`formats.StructureRecord`, the type that
+results files and checkpoints hold, so records go to disk as they are.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import formats
-from .glrack import GLFlags, GLRack, check_gl, flags, is_gl_structure
+from .glrack import GLFlags, check_gl, flags, is_gl_structure
 from .morphisms import aut_group
 from .perm import (
     GroupTooLargeError,
@@ -40,7 +43,6 @@ from .perm import (
 from .racks import Rack, check_rack, is_medial, is_quandle, theta
 
 __all__ = [
-    "ClassRecord",
     "CountReport",
     "ClassificationResult",
     "LongRunRequired",
@@ -56,6 +58,7 @@ __all__ = [
 
 MAX_ORDER = 8
 LONG_RUN_THRESHOLD = 6
+CHECKPOINT_EVERY = 1000  # finished racks per checkpoint append
 
 
 class OrderOutOfRange(ValueError):
@@ -348,22 +351,6 @@ def gl_classes(
 
 
 @dataclass(frozen=True)
-class ClassRecord:
-    """One representative per GL-rack isomorphism class."""
-
-    n: int
-    rack_index: int
-    rack: Rack
-    u: Permutation
-    d: Permutation
-    flags: GLFlags
-    aut_glr_order: Optional[int] = None
-
-    def glrack(self) -> GLRack:
-        return check_gl(self.rack, self.u)
-
-
-@dataclass(frozen=True)
 class CountReport:
     """The eight per-order counts: GL-racks and racks, each total, medial,
     quandle, and medial-quandle."""
@@ -383,7 +370,7 @@ class CountReport:
 class ClassificationResult:
     n: int
     racks: list[Rack]
-    records: list[ClassRecord]
+    records: list[formats.StructureRecord]
     diagnostics: list[str] = field(default_factory=list)
 
     @property
@@ -392,27 +379,25 @@ class ClassificationResult:
 
 
 def _classify_one_rack(
-    args: tuple[int, int, Rack, bool]
-) -> tuple[int, list[ClassRecord], Optional[str]]:
-    n, rack_index, rack, with_aut_glr = args
+    args: tuple[int, int, Rack]
+) -> tuple[int, list[formats.StructureRecord], Optional[str]]:
+    n, rack_index, rack = args
     try:
         aut = aut_group(rack)
         classes = gl_classes(rack, aut)
-        th_inv = theta(rack).inverse()
+        th = theta(rack)
+        th_inv = th.inverse()
+        s = rack.tables()
         quandle = is_quandle(rack)
         medial = is_medial(rack)
         records = []
         for u, _size in classes:
-            gl = check_gl(rack, u)
-            d = th_inv * u.inverse()
-            fl = GLFlags(
-                gl_quandle=quandle,
-                medial=medial,
-                legendrian=theta(rack) == u.inverse() ** 2,
-            )
-            aut_order = centralizer(aut, [u]).order if with_aut_glr else None
+            check_gl(rack, u)
+            u_inv = u.inverse()
+            fl = GLFlags(gl_quandle=quandle, medial=medial, legendrian=th == u_inv ** 2)
+            d = th_inv * u_inv
             records.append(
-                ClassRecord(n, rack_index, rack, u, d, fl, aut_order)
+                formats.StructureRecord(n, s, u.images, d.images, fl, rack_index)
             )
         return rack_index, records, None
     except (GroupTooLargeError, MemoryError) as exc:
@@ -427,9 +412,7 @@ def classify_gl(
     medial_only: bool = False,
     long_run: bool = False,
     jobs: int = 1,
-    with_aut_glr: bool = False,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 1000,
 ) -> ClassificationResult:
     """Classify all GL-racks of order ``n`` up to isomorphism.
 
@@ -441,14 +424,14 @@ def classify_gl(
     non-exhaustive rather than aborting the whole run.
 
     With ``checkpoint_path``, the racks already finished there are not
-    redone, and this process appends each further ``checkpoint_every``
+    redone, and this process appends each further ``CHECKPOINT_EVERY``
     finished racks (under any ``jobs``); a failed rack is not checkpointed.
     """
     if racks is None:
         racks = enumerate_racks(n, long_run=long_run)
-    tasks = [(n, i, rack, with_aut_glr) for i, rack in enumerate(racks)]
+    tasks = [(n, i, rack) for i, rack in enumerate(racks)]
 
-    records: list[ClassRecord] = []
+    records: list[formats.StructureRecord] = []
     diagnostics: list[str] = []
 
     if checkpoint_path is not None:
@@ -466,7 +449,7 @@ def classify_gl(
             outcomes = pool.imap(_classify_one_rack, tasks, chunksize)
         else:
             outcomes = map(_classify_one_rack, tasks)
-        finished: list[tuple[int, list[ClassRecord]]] = []
+        finished: list[tuple[int, list[formats.StructureRecord]]] = []
         for rack_index, recs, error in outcomes:
             records.extend(recs)
             if error is not None:
@@ -474,7 +457,7 @@ def classify_gl(
                 diagnostics.append(error)
             elif checkpoint_path is not None:
                 finished.append((rack_index, recs))
-                if len(finished) >= checkpoint_every:
+                if len(finished) >= CHECKPOINT_EVERY:
                     formats.append_checkpoint(checkpoint_path, finished, racks)
                     finished = []
         if finished:
@@ -484,7 +467,7 @@ def classify_gl(
         records = [r for r in records if r.flags.gl_quandle]
     if medial_only:
         records = [r for r in records if r.flags.medial]
-    records.sort(key=lambda r: (r.rack_index, r.u.images))
+    records.sort(key=lambda r: (r.rack_index, r.u))
     return ClassificationResult(n, list(racks), records, diagnostics)
 
 

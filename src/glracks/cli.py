@@ -25,9 +25,9 @@ EXIT_NONEXHAUSTIVE = 2
 EXIT_IO = 3
 
 
-def _load_records(path: str, validate: bool = True) -> list[StructureRecord]:
+def _load_records(path: str) -> list[StructureRecord]:
     try:
-        return formats.read_records(path, validate=validate)
+        return formats.read_records(path)
     except OSError as exc:
         raise SystemExit(_fail(str(exc), EXIT_IO))
     except RecordFormatError as exc:
@@ -47,6 +47,14 @@ def _emit_records(records: list[StructureRecord], out: Optional[str], table: boo
             print(
                 formats.format_record_table(rec) if table else formats.format_record_line(rec)
             )
+
+
+def _count_line(report: _classify.CountReport) -> str:
+    return (
+        f"n={report.n} g={report.g} g_m={report.g_m} g_q={report.g_q} "
+        f"g_qm={report.g_qm} r={report.r} r_m={report.r_m} "
+        f"r_q={report.r_q} r_qm={report.r_qm}"
+    )
 
 
 def cmd_check(args) -> int:
@@ -93,14 +101,9 @@ def cmd_classify(args) -> int:
         return _fail("classification ran out of memory", EXIT_NONEXHAUSTIVE)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    _emit_records([formats.record_for_class(r) for r in result.records], args.out, args.table)
+    _emit_records(result.records, args.out, args.table)
     if result.exhaustive and args.source == "enumerate" and not (args.quandles or args.medial):
-        report = _classify.count_report(args.n, result)
-        print(
-            f"n={report.n} g={report.g} g_m={report.g_m} g_q={report.g_q} "
-            f"g_qm={report.g_qm} r={report.r} r_m={report.r_m} "
-            f"r_q={report.r_q} r_qm={report.r_qm}"
-        )
+        print(_count_line(_classify.count_report(args.n, result)))
     else:
         print(f"n={args.n} records={len(result.records)}")
     if not result.exhaustive:
@@ -204,11 +207,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_count(args) -> int:
     report = _classify.count_report(args.n, long_run=args.long_run, jobs=args.jobs)
-    print(
-        f"n={report.n} g={report.g} g_m={report.g_m} g_q={report.g_q} "
-        f"g_qm={report.g_qm} r={report.r} r_m={report.r_m} "
-        f"r_q={report.r_q} r_qm={report.r_qm}"
-    )
+    print(_count_line(report))
     return EXIT_OK
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "scan_records",
     "read_records",
     "write_records",
-    "record_for_class",
     "format_record_table",
     "checkpoint_header",
     "append_checkpoint",
@@ -91,7 +90,8 @@ class _RackTables:
 
 @dataclass(frozen=True)
 class StructureRecord:
-    """One rack or GL-rack, as stored in results files.
+    """One rack or GL-rack, as stored in results files and checkpoints and
+    as :func:`glracks.classify.classify_gl` returns each class.
 
     On load, ``s`` must pass rack validation; when ``u`` is present the pair
     must pass GL validation; when ``d`` is present it must equal the derived
@@ -127,7 +127,7 @@ class StructureRecord:
             gl = check_gl(rack, Permutation(self.u))
             if self.d is not None:
                 derived = down_map(gl)
-                if tuple(derived.images) != self.d:
+                if derived.images != tuple(self.d):
                     raise RecordFormatError(
                         f"stored d {_one_based(self.d)} != derived down map "
                         f"{_one_based(derived.images)}"
@@ -218,9 +218,7 @@ def format_record_line(record: StructureRecord) -> str:
     return " ".join(parts)
 
 
-def scan_records(
-    path: str, validate: bool = True
-) -> Iterator[tuple[int, StructureRecord | ValueError]]:
+def scan_records(path: str) -> Iterator[tuple[int, StructureRecord | ValueError]]:
     """``(lineno, record)`` for each record line of ``path``, or
     ``(lineno, error)`` for one that does not parse or validate.
 
@@ -229,10 +227,10 @@ def scan_records(
     Each distinct rack table is checked once per call; ``u``, ``d`` and
     the flags once per record.
     """
-    return _scan_lines(_read_lines(path), validate)
+    return _scan_lines(_read_lines(path))
 
 
-def _scan_lines(lines: list[str], validate: bool):
+def _scan_lines(lines: list[str]):
     tables = _RackTables()
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -240,34 +238,21 @@ def _scan_lines(lines: list[str], validate: bool):
             continue
         try:
             found = parse_record_line(line)
-            if validate:
-                found.validate(tables)
+            found.validate(tables)
         except (RecordFormatError, RackError, ValueError) as exc:
             found = exc
         yield lineno, found
 
 
-def read_records(path: str, validate: bool = True) -> list[StructureRecord]:
+def read_records(path: str) -> list[StructureRecord]:
     """The records of ``path``; :class:`RecordFormatError` names the
     ``path:line`` of the first bad one."""
     records = []
-    for lineno, found in scan_records(path, validate):
+    for lineno, found in scan_records(path):
         if isinstance(found, ValueError):
             raise RecordFormatError(f"{path}:{lineno}: {found}") from found
         records.append(found)
     return records
-
-
-def record_for_class(rec) -> StructureRecord:
-    """The structure record of a ``classify.ClassRecord``."""
-    return StructureRecord(
-        n=rec.n,
-        s=rec.rack.tables(),
-        u=rec.u.images,
-        d=rec.d.images,
-        flags=rec.flags,
-        rack_index=rec.rack_index,
-    )
 
 
 def write_records(path: str, records: Iterable[StructureRecord]) -> None:
@@ -317,7 +302,7 @@ def checkpoint_header(racks: Sequence[Rack]) -> str:
 def append_checkpoint(path: str, completed: list, racks: Sequence[Rack]) -> None:
     """Append finished racks' records plus per-rack watermarks.
 
-    ``completed`` holds ``(rack_index, class_records)`` pairs for racks of
+    ``completed`` holds ``(rack_index, records)`` pairs for racks of
     ``racks``; a new file starts with :func:`checkpoint_header`.
     """
     with open(path, "a", encoding="utf-8") as fh:
@@ -325,7 +310,7 @@ def append_checkpoint(path: str, completed: list, racks: Sequence[Rack]) -> None
             fh.write(checkpoint_header(racks) + "\n")
         for rack_index, records in completed:
             for rec in records:
-                fh.write(format_record_line(record_for_class(rec)) + "\n")
+                fh.write(format_record_line(rec) + "\n")
             fh.write(f"watermark rack={rack_index}\n")
 
 
@@ -344,17 +329,16 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
 
     The file must start with the :func:`checkpoint_header` of ``racks``;
     a checkpoint written for another rack list raises
-    :class:`RecordFormatError`, as does any malformed complete line.  A
+    :class:`RecordFormatError`, as does any malformed complete line, and
+    a complete line that is not UTF-8 raises :class:`EncodingError`.  A
     torn last line (one with no trailing newline) and the records after
     the last watermark are discarded and cut from the file, so their rack
     is redone and appended after the last watermark.  An interrupted run
     thus resumes to the same final output as an uninterrupted one.  A
     missing file is a fresh start.
     """
-    from .classify import ClassRecord
-
     done: set[int] = set()
-    records: list[ClassRecord] = []
+    records: list[StructureRecord] = []
     checked = _RackTables()
     try:
         with open(path, "rb") as fh:
@@ -369,6 +353,9 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
         offset += len(raw) + 1
         try:
             line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+        try:
             if lineno == 1:
                 header = checkpoint_header(racks)
                 if line != header:
@@ -388,16 +375,7 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
                             f"record for rack {sr.rack_index} before the "
                             f"watermark of rack {index}"
                         )
-                    records.append(
-                        ClassRecord(
-                            n=sr.n,
-                            rack_index=index,
-                            rack=checked.rack(sr.n, sr.s),
-                            u=Permutation(sr.u),
-                            d=Permutation(sr.d),
-                            flags=sr.flags,
-                        )
-                    )
+                records.extend(pending)
                 done.add(index)
                 pending = []
                 kept = offset

@@ -179,13 +179,13 @@ class TestClassification:
     def test_jobs_deterministic(self, racks_by_order):
         serial = classify_gl(4, racks_by_order[4], jobs=1)
         parallel = classify_gl(4, racks_by_order[4], jobs=2)
-        key = lambda rec: (rec.rack_index, rec.u.images)
+        key = lambda rec: (rec.rack_index, rec.u)
         assert [key(r) for r in serial.records] == [key(r) for r in parallel.records]
 
     def test_records_carry_consistent_down_maps(self, racks_by_order):
         from glracks.glrack import down_map
 
         for rec in classify_gl(4, racks_by_order[4]).records:
-            assert rec.d == down_map(rec.glrack())
-            assert rec.flags.gl_quandle == is_quandle(rec.rack)
-            assert rec.flags.medial == is_medial(rec.rack)
+            assert rec.d == down_map(rec.glrack()).images
+            assert rec.flags.gl_quandle == is_quandle(rec.rack())
+            assert rec.flags.medial == is_medial(rec.rack())

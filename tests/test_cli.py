@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -67,6 +68,7 @@ class TestUnreadableInput:
             ("hom", "FILE", "FILE"),
             ("quotient", "assoc", "FILE"),
             ("classify", "-n", "1", "--source", "FILE"),
+            ("classify", "-n", "1", "--checkpoint", "FILE"),
         ],
     )
     def test_not_utf8_exits_3(self, capsys, tmp_path, argv):
@@ -113,6 +115,26 @@ class TestClassify:
         code, _out, _err = run(capsys, "classify", "-n", "4", "--out", path)
         assert code == 0
         assert len(read_records(path)) == 62
+
+    # sha256 of ``classify -n N --out`` for N = 0..6; N = 6 is also
+    # ``classify-6.txt`` in perfbench/data/expected.json
+    OUT_SHA256 = [
+        "caa337db99446a59e65b8a9e9e1a213e4fa054b0ddfb36a68c3684f42264742f",
+        "4e318e8ad049d988c1ef5a75224221ca2dda3703f27c2f70055b0a8e3a06b946",
+        "e8edf16aaa449411b82de9d000f7e935323e96febe0ef49ebc980c1777411251",
+        "da7c649cc8028d76f6a40528a951478d6a450bb22ac3adb7080d80679b082e79",
+        "8a91d30a0070e11c878caa0fc5812157c4b0153929680ba29165ca8b8e3a4a60",
+        "6b6a82a52242d4521cf81a73b087870398b7ceabad33fc67a50b2959df6ca349",
+        "6103b8e5fcf628f7460191ba4de5ad64f80d909453a1a2ba4ae9bf4b8dcb7635",
+    ]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_out_file_bytes(self, capsys, tmp_path, n):
+        path = str(tmp_path / "cls.txt")
+        code, _out, _err = run(capsys, "classify", "-n", str(n), "--out", path)
+        assert code == 0
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.OUT_SHA256[n]
 
     def test_quandle_filter(self, capsys, tmp_path):
         path = str(tmp_path / "q.txt")
