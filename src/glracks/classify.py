@@ -6,9 +6,12 @@ a GL-quandle, the untwist ``G(Q, u)`` with rows ``u s_x`` is a rack, and the
 two are mutually inverse on isomorphism classes.  So a labeled search runs
 over quandles only (it backtracks over ``s_0, ..., s_{n-1}`` with
 ``s_x(x) = x``, propagating the forced identity
-``s_{s_x(y)} = s_x s_y s_x^-1`` as soon as both sides are determined); the
-labeled quandles are deduplicated into isomorphism classes by removing
-relabeling orbits; and each quandle ``Q`` with each class of
+``s_{s_x(y)} = s_x s_y s_x^-1`` as soon as both sides are determined), and
+only over tables in a normal form that the lexicographically least table
+of every class has: identity rows first, then the row with the least
+cycle-type key.  The labeled quandles are deduplicated into isomorphism
+classes by removing relabeling orbits, built only from the relabelings
+that keep the normal form; and each quandle ``Q`` with each class of
 GL-structures ``u`` on it gives one rack class ``G(Q, u)``, brought to its
 lexicographically least relabeling by a branch-and-bound canonical form.
 
@@ -16,7 +19,8 @@ GL-structures on each rack are computed as the centralizer of the inner
 automorphism group inside the full automorphism group; isomorphism classes
 of GL-structures are conjugacy orbits under the automorphism group.  The
 naive filter of all of ``S_n`` is kept as a cross-check oracle, and so is
-the rack-first labeled search.
+the rack-first labeled search (the tests dedupe it by sweeping all of
+``S_n``).
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
 results files and checkpoints hold, so records go to disk as they are.
@@ -83,23 +87,93 @@ def check_order(n: int, long_run: bool) -> None:
 # Labeled rack enumeration
 
 
+def _block_form(
+    row: Sequence[int], k: int, x: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """The block key of ``row`` at ``x``, and a relabeling that yields it.
+
+    ``row`` keeps ``{0..k-1}`` and fixes ``x >= k``.  Its cycles on
+    ``{0..k-1}`` go in ascending length onto ``0..k-1``, ``x`` goes to
+    ``k``, and its other cycles go in ascending length onto ``k+1..n-1``,
+    each cycle onto consecutive labels.  The key is ``p row p^-1`` for that
+    relabeling ``p`` (old -> new label): the least conjugate of ``row``
+    over all relabelings that keep ``{0..k-1}`` and send ``x`` to ``k``.
+    """
+    n = len(row)
+    seen = [False] * n
+    seen[x] = True
+    parts: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for a in range(n):
+        if not seen[a]:
+            cycle = []
+            while not seen[a]:
+                seen[a] = True
+                cycle.append(a)
+                a = row[a]
+            parts[cycle[0] >= k].append(cycle)
+    key = list(range(n))
+    p = [0] * n
+    p[x] = k
+    for cycles, start in zip(parts, (0, k + 1)):
+        for cycle in sorted(cycles, key=len):
+            for i, a in enumerate(cycle):
+                p[a] = start + i
+                key[start + i] = start + (i + 1) % len(cycle)
+            start += len(cycle)
+    return tuple(key), p
+
+
 def _labeled_racks(n: int, _all_racks: bool = False) -> list[bytes]:
-    """All quandle structures on {0..n-1}, each flattened to n*n bytes.
+    """The quandle tables on {0..n-1} in normal form, each flattened to
+    n*n bytes; every quandle class has its lexicographically least table
+    among them.
+
+    A table is in normal form when, with ``k`` its number of identity rows,
+    rows ``0..k-1`` are the identity, rows ``k..n-1`` are not, and row ``k``
+    is ``D``, the least block key (:func:`_block_form`) of the non-identity
+    rows.  The lex-least table of a class is in normal form: the identity is
+    the least row, so it comes first; every row keeps the identity set,
+    since ``s_{s_b(a)} = s_b s_a s_b^-1``; and the least row ``k`` over the
+    relabelings that keep that set is the least key.  So the search runs
+    once per ``k`` and ``D``: row ``x > k`` takes the non-identity rows that
+    fix ``x``, keep ``{0..k-1}`` and have key at least ``D`` (keys are
+    invariant under those relabelings, so forced rows obey this too).
 
     Backtracking with forced-conjugate propagation: once ``s_a`` and ``s_b``
-    are known, ``s_{s_a(b)}`` must equal ``s_a s_b s_a^-1``.  Candidate rows
-    for ``x`` fix ``x``; a forced row ``s_a s_b s_a^-1`` then fixes
-    ``s_a(b)`` too.  ``_all_racks`` drops the restriction and returns every
-    rack structure (the rack-first test oracle).
+    are known, ``s_{s_a(b)}`` must equal ``s_a s_b s_a^-1``.
+    ``_all_racks`` drops every restriction and returns every rack structure
+    (the rack-first test oracle).
     """
-    if n == 0:
-        return [b""]
     perms = [tuple(p) for p in itertools.permutations(range(n))]
-    candidates = [
-        [p for p in perms if _all_racks or p[x] == x] for x in range(n)
-    ]
-    rows: list[Optional[tuple[int, ...]]] = [None] * n
-    assigned: list[int] = []
+    if _all_racks:
+        return _search([None] * n, [perms] * n)
+    identity = perms[0]
+    results = [bytes(identity) * n]
+    for k in range(n):
+        block = [p for p in perms[1:] if all(v < k for v in p[:k])]
+        keyed = {
+            x: [(_block_form(p, k, x)[0], p) for p in block if p[x] == x]
+            for x in range(k, n)
+        }
+        for d in sorted({key for key, _p in keyed[k]}):
+            rows: list[Optional[tuple[int, ...]]] = [identity] * k + [d]
+            rows += [None] * (n - k - 1)
+            candidates = [[]] * (k + 1) + [
+                [p for key, p in keyed[x] if key >= d] for x in range(k + 1, n)
+            ]
+            results.extend(_search(rows, candidates))
+    return results
+
+
+def _search(
+    rows: list[Optional[tuple[int, ...]]],
+    candidates: list[list[tuple[int, ...]]],
+) -> list[bytes]:
+    """Every rack table that extends the preset ``rows`` (``None`` where
+    open; the preset rows must satisfy the rack axioms among themselves)
+    with open row ``x`` drawn from ``candidates[x]`` or forced."""
+    n = len(rows)
+    assigned = [i for i in range(n) if rows[i] is not None]
     results: list[bytes] = []
     rng = range(n)
 
@@ -176,7 +250,7 @@ def _labeled_racks(n: int, _all_racks: bool = False) -> list[bytes]:
     return results
 
 
-def _relabel(flat: bytes, n: int, p: tuple[int, ...], pinv: tuple[int, ...]) -> bytes:
+def _relabel(flat: bytes, n: int, p: Sequence[int], pinv: Sequence[int]) -> bytes:
     """Relabel a flattened rack by p: new s_{p(x)} = p s_x p^-1."""
     out = bytearray(n * n)
     for x in range(n):
@@ -188,26 +262,49 @@ def _relabel(flat: bytes, n: int, p: tuple[int, ...], pinv: tuple[int, ...]) -> 
 
 
 def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[bytes]:
-    """One lexicographically-least representative per relabeling orbit."""
-    if n == 0:
-        return [b""]
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
-    inverses = []
-    for p in perms:
-        pinv = [0] * n
-        for i, j in enumerate(p):
-            pinv[j] = i
-        inverses.append(tuple(pinv))
+    """One lexicographically-least table per isomorphism class of the
+    normal-form quandle tables ``labeled`` (see :func:`_labeled_racks`), in
+    ascending order.
+
+    A relabeling ``p`` takes a normal-form table with identity rows
+    ``0..k-1`` and row ``k = D`` to a normal-form table exactly when
+    ``p = c p_b``: ``b`` is a row whose block key is ``D``, ``p_b`` is the
+    relabeling of :func:`_block_form` that turns ``s_b`` into ``D``, and
+    ``c`` keeps ``{0..k-1}``, fixes ``k`` and commutes with ``D``.  So each
+    representative is relabeled by these alone, not by all of ``S_n``, and
+    the orbits found are the isomorphism classes met in ``labeled``.
+    """
+    identity = bytes(range(n))
+    centralizers: dict[tuple[int, bytes], list[tuple[int, ...]]] = {}
     remaining = set(labeled)
     reps = []
     while remaining:
         rep = min(remaining)
-        orbit = {
-            _relabel(rep, n, p, pinv) for p, pinv in zip(perms, inverses)
-        }
-        remaining -= orbit
         reps.append(rep)
-    reps.sort()
+        rows = [rep[x * n : (x + 1) * n] for x in range(n)]
+        k = next((x for x in range(n) if rows[x] != identity), n)
+        orbit = {rep}
+        if k < n:
+            d = rows[k]
+            if (k, d) not in centralizers:
+                centralizers[k, d] = [
+                    c
+                    for low in itertools.permutations(range(k))
+                    for high in itertools.permutations(range(k + 1, n))
+                    for c in [low + (k,) + high]
+                    if all(c[d[i]] == d[c[i]] for i in range(n))
+                ]
+            for b in range(k, n):
+                key, pb = _block_form(rows[b], k, b)
+                if bytes(key) != d:
+                    continue
+                for c in centralizers[k, d]:
+                    p = [c[v] for v in pb]
+                    pinv = [0] * n
+                    for i, v in enumerate(p):
+                        pinv[v] = i
+                    orbit.add(_relabel(rep, n, p, pinv))
+        remaining -= orbit
     return reps
 
 
@@ -281,8 +378,11 @@ def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
 
     Each rack is the lexicographically least table in its isomorphism
     class, and the list is sorted by table.  It is built quandle-first: the
-    quandle classes ``Q`` of order ``n`` come from a labeled quandle search
-    and an orbit dedupe, and every class of GL-structures ``u`` on ``Q``
+    quandle classes ``Q`` of order ``n`` come from a labeled search over the
+    normal-form quandle tables, which hold the lex-least table of every
+    class (:func:`_labeled_racks`), and an orbit dedupe over the
+    relabelings that keep the normal form (:func:`_dedupe_by_orbits`); then
+    every class of GL-structures ``u`` on ``Q``
     gives the rack ``G(Q, u)`` with rows ``u s_x``.  ``F`` and ``G`` are
     inverse bijections between rack classes and GL-quandle classes, so
     these racks are exhaustive and pairwise non-isomorphic; two equal

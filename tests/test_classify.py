@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -49,6 +50,14 @@ class TestEnumeration:
             enumerate_racks(9, long_run=True)
 
 
+def _conjugate(p, s):
+    """p s p^-1 as an image tuple."""
+    out = [0] * len(s)
+    for i, v in enumerate(s):
+        out[p[i]] = p[v]
+    return tuple(out)
+
+
 def _relabeled(flat, n, p):
     pinv = tuple(sorted(range(n), key=p.__getitem__))
     return classify._relabel(flat, n, tuple(p), pinv)
@@ -59,14 +68,64 @@ def _oracle_min(flat, n):
     return min(_relabeled(flat, n, p) for p in itertools.permutations(range(n)))
 
 
+def _sweep_dedupe(labeled, n):
+    """Oracle: the lex-least table of each relabeling orbit, by applying
+    all of S_n to each representative, in ascending order."""
+    perms = list(itertools.permutations(range(n)))
+    remaining = set(labeled)
+    reps = []
+    while remaining:
+        rep = min(remaining)
+        remaining -= {_relabeled(rep, n, p) for p in perms}
+        reps.append(rep)
+    return reps
+
+
+@functools.lru_cache(maxsize=None)
+def _rack_first(n):
+    return tuple(classify._labeled_racks(n, _all_racks=True))
+
+
 class TestQuandleFirst:
-    def test_quandle_search_is_the_quandle_part_of_the_rack_search(self):
+    def test_quandle_search_keeps_the_least_table_of_every_class(self):
+        for n in range(7):
+            quandles = {
+                f for f in _rack_first(n) if all(f[x * n + x] == x for x in range(n))
+            }
+            oracle = _sweep_dedupe(quandles, n)
+            labeled = classify._labeled_racks(n)
+            assert len(set(labeled)) == len(labeled)
+            assert set(labeled) <= quandles
+            assert set(oracle) <= set(labeled)
+            assert classify._dedupe_by_orbits(labeled, n) == oracle
+
+    def test_labeled_quandle_counts(self):
+        counts = [len(classify._labeled_racks(n)) for n in range(7)]
+        assert counts == [1, 1, 1, 3, 7, 30, 194]
+
+    def test_quandle_classes_order_7(self):
+        classes = classify._dedupe_by_orbits(classify._labeled_racks(7), 7)
+        assert len(classes) == EXPECTED_COUNTS[7][6]  # r_q
+
+    def test_block_key_is_least_conjugate(self):
         for n in range(6):
-            racks = classify._labeled_racks(n, _all_racks=True)
-            quandles = [
-                f for f in racks if all(f[x * n + x] == x for x in range(n))
-            ]
-            assert classify._labeled_racks(n) == quandles
+            perms = list(itertools.permutations(range(n)))
+            for s in perms:
+                for k in range(n):
+                    if any(v >= k for v in s[:k]):
+                        continue
+                    for x in range(k, n):
+                        if s[x] != x:
+                            continue
+                        key, p = classify._block_form(s, k, x)
+                        least = min(
+                            _conjugate(q, s)
+                            for q in perms
+                            if q[x] == k and all(v < k for v in q[:k])
+                        )
+                        assert key == least
+                        assert p[x] == k and all(v < k for v in p[:k])
+                        assert _conjugate(p, s) == key
 
     def test_canonical_is_lex_least_relabeling_up_to_order_4(self):
         for n in range(5):
@@ -87,8 +146,7 @@ class TestQuandleFirst:
 
     @pytest.mark.parametrize("n", range(7))
     def test_enumeration_equals_rack_first_oracle(self, n):
-        labeled = classify._labeled_racks(n, _all_racks=True)
-        oracle = classify._dedupe_by_orbits(labeled, n)
+        oracle = _sweep_dedupe(_rack_first(n), n)
         got = [bytes(v for row in r.tables() for v in row) for r in enumerate_racks(n)]
         assert got == oracle
 
