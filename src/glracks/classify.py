@@ -13,14 +13,15 @@ cycle-type key.  The labeled quandles are deduplicated into isomorphism
 classes by removing relabeling orbits, built only from the relabelings
 that keep the normal form; and each quandle ``Q`` with each class of
 GL-structures ``u`` on it gives one rack class ``G(Q, u)``, brought to its
-lexicographically least relabeling by a branch-and-bound canonical form.
+lexicographically least relabeling by the least of the relabelings that put
+it in the same normal form.
 
 GL-structures on each rack are computed as the centralizer of the inner
 automorphism group inside the full automorphism group; isomorphism classes
 of GL-structures are conjugacy orbits under the automorphism group.  The
-naive filter of all of ``S_n`` is kept as a cross-check oracle, and so is
-the rack-first labeled search (the tests dedupe it by sweeping all of
-``S_n``).
+naive filter of all of ``S_n`` is kept as a cross-check oracle; the tests
+also run the labeled search with every row open (the rack-first oracle) and
+dedupe it by sweeping all of ``S_n``.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
 results files and checkpoints hold, so records go to disk as they are.
@@ -29,9 +30,10 @@ results files and checkpoints hold, so records go to disk as they are.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Container, Iterator, Optional, Sequence
 
 from . import formats
 from .glrack import GLFlags, check_gl, flags, is_gl_structure
@@ -88,42 +90,94 @@ def check_order(n: int, long_run: bool) -> None:
 
 
 def _block_form(
-    row: Sequence[int], k: int, x: int
+    row: Sequence[int], ids: Container[int], x: int
 ) -> tuple[tuple[int, ...], list[int]]:
     """The block key of ``row`` at ``x``, and a relabeling that yields it.
 
-    ``row`` keeps ``{0..k-1}`` and fixes ``x >= k``.  Its cycles on
-    ``{0..k-1}`` go in ascending length onto ``0..k-1``, ``x`` goes to
-    ``k``, and its other cycles go in ascending length onto ``k+1..n-1``,
-    each cycle onto consecutive labels.  The key is ``p row p^-1`` for that
-    relabeling ``p`` (old -> new label): the least conjugate of ``row``
-    over all relabelings that keep ``{0..k-1}`` and send ``x`` to ``k``.
+    ``row`` keeps the ``k``-point set ``ids``, and ``x`` lies outside it.
+    Its cycles inside ``ids`` go in ascending length onto ``0..k-1``, the
+    cycle of ``x`` goes onto ``k, k+1, ...`` starting from ``x``, and its
+    other cycles follow in ascending length, each cycle onto consecutive
+    labels.  The key is ``p row p^-1`` for that relabeling ``p`` (old -> new
+    label): the least conjugate of ``row`` over all relabelings that send
+    ``ids`` onto ``0..k-1`` and ``x`` to ``k``.
     """
     n = len(row)
     seen = [False] * n
-    seen[x] = True
-    parts: tuple[list[list[int]], list[list[int]]] = ([], [])
-    for a in range(n):
-        if not seen[a]:
-            cycle = []
-            while not seen[a]:
-                seen[a] = True
-                cycle.append(a)
-                a = row[a]
-            parts[cycle[0] >= k].append(cycle)
-    key = list(range(n))
+
+    def cycle_of(a: int) -> list[int]:
+        cycle = []
+        while not seen[a]:
+            seen[a] = True
+            cycle.append(a)
+            a = row[a]
+        return cycle
+
+    own = cycle_of(x)
+    cycles = [cycle_of(a) for a in range(n) if not seen[a]]
+    inside = [c for c in cycles if c[0] in ids]
+    outside = [c for c in cycles if c[0] not in ids]
+    key = [0] * n
     p = [0] * n
-    p[x] = k
-    for cycles, start in zip(parts, (0, k + 1)):
-        for cycle in sorted(cycles, key=len):
-            for i, a in enumerate(cycle):
-                p[a] = start + i
-                key[start + i] = start + (i + 1) % len(cycle)
-            start += len(cycle)
+    start = 0
+    for cycle in sorted(inside, key=len) + [own] + sorted(outside, key=len):
+        for i, a in enumerate(cycle):
+            p[a] = start + i
+            key[start + i] = start + (i + 1) % len(cycle)
+        start += len(cycle)
     return tuple(key), p
 
 
-def _labeled_racks(n: int, _all_racks: bool = False) -> list[bytes]:
+@functools.lru_cache(maxsize=None)
+def _key_centralizer(k: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The relabelings that keep ``{0..k-1}``, fix ``k`` and commute with
+    the block key ``key``."""
+    n = len(key)
+    return [
+        c
+        for low in itertools.permutations(range(k))
+        for high in itertools.permutations(range(k + 1, n))
+        for c in [low + (k,) + high]
+        if all(c[key[i]] == key[c[i]] for i in range(n))
+    ]
+
+
+def _normal_relabelings(
+    flat: bytes, n: int
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Each relabeling ``p`` (old -> new label) that takes the flattened rack
+    ``flat`` to a table whose rows ``0..k-1`` are the identity and whose row
+    ``k`` is ``D``, with its inverse; just the identity when every row is.
+
+    ``k`` is the number of identity rows, and ``D`` the least block key
+    (:func:`_block_form`) of the other rows.  Every row keeps the set ``I``
+    of identity points, since ``s_{s_x(a)} = s_x s_a s_x^-1``, so these are
+    exactly ``p = c p_b``: ``b`` is a row outside ``I`` whose key is ``D``,
+    ``p_b`` the relabeling that turns ``s_b`` into ``D``, and ``c`` keeps
+    ``{0..k-1}``, fixes ``k`` and commutes with ``D``.  The identity is the
+    least row, so the lexicographically least relabeling of ``flat`` is
+    one of these.
+    """
+    identity = bytes(range(n))
+    rows = [flat[x * n : (x + 1) * n] for x in range(n)]
+    ids = {x for x in range(n) if rows[x] == identity}
+    if len(ids) == n:
+        yield list(identity), list(identity)
+        return
+    keyed = [_block_form(rows[b], ids, b) for b in range(n) if b not in ids]
+    d = min(key for key, _p in keyed)
+    for key, pb in keyed:
+        if key != d:
+            continue
+        for c in _key_centralizer(len(ids), d):
+            p = [c[v] for v in pb]
+            pinv = [0] * n
+            for i, v in enumerate(p):
+                pinv[v] = i
+            yield p, pinv
+
+
+def _labeled_racks(n: int) -> list[bytes]:
     """The quandle tables on {0..n-1} in normal form, each flattened to
     n*n bytes; every quandle class has its lexicographically least table
     among them.
@@ -141,18 +195,14 @@ def _labeled_racks(n: int, _all_racks: bool = False) -> list[bytes]:
 
     Backtracking with forced-conjugate propagation: once ``s_a`` and ``s_b``
     are known, ``s_{s_a(b)}`` must equal ``s_a s_b s_a^-1``.
-    ``_all_racks`` drops every restriction and returns every rack structure
-    (the rack-first test oracle).
     """
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
-    if _all_racks:
-        return _search([None] * n, [perms] * n)
+    perms = list(itertools.permutations(range(n)))
     identity = perms[0]
     results = [bytes(identity) * n]
     for k in range(n):
         block = [p for p in perms[1:] if all(v < k for v in p[:k])]
         keyed = {
-            x: [(_block_form(p, k, x)[0], p) for p in block if p[x] == x]
+            x: [(_block_form(p, range(k), x)[0], p) for p in block if p[x] == x]
             for x in range(k, n)
         }
         for d in sorted({key for key, _p in keyed[k]}):
@@ -266,106 +316,29 @@ def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[bytes]:
     normal-form quandle tables ``labeled`` (see :func:`_labeled_racks`), in
     ascending order.
 
-    A relabeling ``p`` takes a normal-form table with identity rows
-    ``0..k-1`` and row ``k = D`` to a normal-form table exactly when
-    ``p = c p_b``: ``b`` is a row whose block key is ``D``, ``p_b`` is the
-    relabeling of :func:`_block_form` that turns ``s_b`` into ``D``, and
-    ``c`` keeps ``{0..k-1}``, fixes ``k`` and commutes with ``D``.  So each
-    representative is relabeled by these alone, not by all of ``S_n``, and
-    the orbits found are the isomorphism classes met in ``labeled``.
+    The relabelings that keep a table in normal form are those of
+    :func:`_normal_relabelings`, so each representative is relabeled by
+    these alone, not by all of ``S_n``, and the orbits found are the
+    isomorphism classes met in ``labeled``.
     """
-    identity = bytes(range(n))
-    centralizers: dict[tuple[int, bytes], list[tuple[int, ...]]] = {}
     remaining = set(labeled)
     reps = []
     while remaining:
         rep = min(remaining)
         reps.append(rep)
-        rows = [rep[x * n : (x + 1) * n] for x in range(n)]
-        k = next((x for x in range(n) if rows[x] != identity), n)
-        orbit = {rep}
-        if k < n:
-            d = rows[k]
-            if (k, d) not in centralizers:
-                centralizers[k, d] = [
-                    c
-                    for low in itertools.permutations(range(k))
-                    for high in itertools.permutations(range(k + 1, n))
-                    for c in [low + (k,) + high]
-                    if all(c[d[i]] == d[c[i]] for i in range(n))
-                ]
-            for b in range(k, n):
-                key, pb = _block_form(rows[b], k, b)
-                if bytes(key) != d:
-                    continue
-                for c in centralizers[k, d]:
-                    p = [c[v] for v in pb]
-                    pinv = [0] * n
-                    for i, v in enumerate(p):
-                        pinv[v] = i
-                    orbit.add(_relabel(rep, n, p, pinv))
-        remaining -= orbit
+        remaining -= {
+            _relabel(rep, n, p, pinv) for p, pinv in _normal_relabelings(rep, n)
+        }
     return reps
 
 
 def _canonical(flat: bytes, n: int) -> bytes:
     """The lexicographically least relabeling of a flattened rack, i.e.
-    ``min(_relabel(flat, n, p, p^-1) for p in S_n)``, by branch and bound.
-
-    Cells are filled in row-major order.  Cell ``(0, j)`` of the relabeled
-    table is ``p(s_a(b))`` with ``a = p^-1(0)`` and ``b = p^-1(j)``; labels
-    are handed out in increasing order, so a state branches on the old
-    point ``b`` only when label ``j`` is still free, and an unlabeled value
-    takes the next free label (any other label makes the cell larger).
-    After each cell only the states tied on the least prefix survive.
-    Row 0 labels every point, so later rows just compare the survivors.
-    """
-    if n == 0:
-        return b""
-    # a state: (p, order) with p old -> new label (-1 if none) and
-    # order = p^-1 on the labels handed out so far, 0..len(order)-1
-    states: list[tuple[list[int], list[int]]] = [([-1] * n, [])]
-    for j in range(n):
-        best = n
-        survivors: list[tuple[list[int], list[int]]] = []
-        for p, order in states:
-            if len(order) > j:
-                branches = [(p, order)]
-            else:
-                branches = []
-                for b in range(n):
-                    if p[b] < 0:
-                        q = p[:]
-                        q[b] = j
-                        branches.append((q, order + [b]))
-            for q, o in branches:
-                v = flat[o[0] * n + o[j]]
-                label = q[v] if q[v] >= 0 else len(o)
-                if label > best:
-                    continue
-                if label < best:
-                    best = label
-                    survivors = []
-                if q[v] < 0:
-                    q = q[:]
-                    q[v] = label
-                    o = o + [v]
-                survivors.append((q, o))
-        states = survivors
-    for x in range(1, n):
-        best_row = None
-        survivors = []
-        for p, order in states:
-            base = order[x] * n
-            row = [p[flat[base + b]] for b in order]
-            if best_row is None or row < best_row:
-                best_row = row
-                survivors = []
-            if row == best_row:
-                survivors.append((p, order))
-        states = survivors
-    p, order = states[0]
-    return _relabel(flat, n, tuple(p), tuple(order))
+    ``min(_relabel(flat, n, p, p^-1) for p in S_n)``, taken over the
+    relabelings of :func:`_normal_relabelings` only."""
+    return min(
+        _relabel(flat, n, p, pinv) for p, pinv in _normal_relabelings(flat, n)
+    )
 
 
 def _unflatten(flat: bytes, n: int) -> Rack:

@@ -136,6 +136,20 @@ class TestClassify:
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == self.OUT_SHA256[n]
 
+    def test_enumerate_racks_order_7_bytes(self, capsys, tmp_path):
+        # ``racks-7.txt`` in perfbench/data/expected.json: 2080 canonical
+        # forms, each one lex-least table of its class, in sorted order
+        path = str(tmp_path / "racks.txt")
+        code, _out, _err = run(
+            capsys, "enumerate-racks", "-n", "7", "--long-run", "--out", path
+        )
+        assert code == 0
+        with open(path, "rb") as fh:
+            assert (
+                hashlib.sha256(fh.read()).hexdigest()
+                == "3fba7654af75268d20c2be65f3ef145316a9248ee1ee107c19bd512e2c3337a5"
+            )
+
     def test_quandle_filter(self, capsys, tmp_path):
         path = str(tmp_path / "q.txt")
         code, out, _err = run(capsys, "classify", "-n", "4", "--quandles", "--out", path)

@@ -14,6 +14,7 @@ from glracks.morphisms import (
     hom_glrack,
     hom_rack,
     is_bihom,
+    is_gl_bihom,
     is_gl_hom,
     is_isomorphic,
     is_rack_hom,
@@ -224,3 +225,21 @@ class TestHomRacks:
             for x in range(3)
             for y in range(3)
         )
+
+    def test_is_gl_bihom(self):
+        # with u the identity everywhere, GL-homs are rack homs; the a^2
+        # term makes two thirds of these maps fail to be bihoms
+        r3, target = takasaki(3), dihedral(3)
+        ident = Permutation.identity(3)
+        g3, gt = check_gl(r3, ident), check_gl(target, ident)
+        for h, i, j, c in itertools.product(range(3), repeat=4):
+            beta = lambda a, b: (h * a * a + i * a + j * b + c) % 3
+            assert is_gl_bihom(g3, g3, gt, beta) == is_bihom(r3, r3, target, beta)
+        # every map of trivial quandles is a rack hom, but the slices of
+        # beta(a, b) = a do not commute with the swap u on the first factor
+        t2 = trivial_quandle(2)
+        swap = check_gl(t2, parse_cycles("(12)", 2))
+        fixed = check_gl(t2, Permutation.identity(2))
+        beta = lambda a, b: a
+        assert is_bihom(t2, t2, t2, beta)
+        assert not is_gl_bihom(swap, fixed, fixed, beta)
