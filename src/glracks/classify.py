@@ -481,8 +481,6 @@ def classify_gl(
     n: int,
     racks: Optional[Sequence[Rack]] = None,
     *,
-    quandles_only: bool = False,
-    medial_only: bool = False,
     long_run: bool = False,
     jobs: int = 1,
     checkpoint_path: Optional[str] = None,
@@ -536,10 +534,6 @@ def classify_gl(
         if finished:
             formats.append_checkpoint(checkpoint_path, finished, racks)
 
-    if quandles_only:
-        records = [r for r in records if r.flags.gl_quandle]
-    if medial_only:
-        records = [r for r in records if r.flags.medial]
     records.sort(key=lambda r: (r.rack_index, r.u))
     return ClassificationResult(n, list(racks), records, diagnostics)
 

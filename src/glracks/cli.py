@@ -1,7 +1,7 @@
 """Command-line surface: validation, enumeration, classification, reports.
 
-Exit codes: 0 success/exhaustive, 1 validation failure, 2 budget exceeded or
-non-exhaustive result, 3 I/O or parse error.
+Exit codes: 0 success, 1 validation failure, 2 result not exhaustive, 3 I/O
+or parse error.
 """
 
 from __future__ import annotations
@@ -57,6 +57,12 @@ def _count_line(report: _classify.CountReport) -> str:
     )
 
 
+def _not_exhaustive(result: _classify.ClassificationResult) -> int:
+    for diag in result.diagnostics:
+        print(f"non-exhaustive: {diag}", file=sys.stderr)
+    return EXIT_NONEXHAUSTIVE
+
+
 def cmd_check(args) -> int:
     try:
         scanned = formats.scan_records(args.file)
@@ -91,8 +97,6 @@ def cmd_classify(args) -> int:
         result = _classify.classify_gl(
             args.n,
             racks,
-            quandles_only=args.quandles,
-            medial_only=args.medial,
             long_run=args.long_run,
             jobs=args.jobs,
             checkpoint_path=args.checkpoint,
@@ -101,15 +105,18 @@ def cmd_classify(args) -> int:
         return _fail("classification ran out of memory", EXIT_NONEXHAUSTIVE)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    _emit_records(result.records, args.out, args.table)
+    records = result.records
+    if args.quandles:
+        records = [r for r in records if r.flags.gl_quandle]
+    if args.medial:
+        records = [r for r in records if r.flags.medial]
+    _emit_records(records, args.out, args.table)
     if result.exhaustive and args.source == "enumerate" and not (args.quandles or args.medial):
         print(_count_line(_classify.count_report(args.n, result)))
     else:
-        print(f"n={args.n} records={len(result.records)}")
+        print(f"n={args.n} records={len(records)}")
     if not result.exhaustive:
-        for diag in result.diagnostics:
-            print(f"non-exhaustive: {diag}", file=sys.stderr)
-        return EXIT_NONEXHAUSTIVE
+        return _not_exhaustive(result)
     return EXIT_OK
 
 
@@ -206,8 +213,13 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_count(args) -> int:
-    report = _classify.count_report(args.n, long_run=args.long_run, jobs=args.jobs)
-    print(_count_line(report))
+    try:
+        result = _classify.classify_gl(args.n, long_run=args.long_run, jobs=args.jobs)
+    except MemoryError:
+        return _fail("classification ran out of memory", EXIT_NONEXHAUSTIVE)
+    if not result.exhaustive:
+        return _not_exhaustive(result)
+    print(_count_line(_classify.count_report(args.n, result)))
     return EXIT_OK
 
 

@@ -138,6 +138,8 @@ class StructureRecord:
                     raise RecordFormatError("stored flags disagree with recomputation")
         elif self.d is not None:
             raise RecordFormatError("d present without u")
+        elif self.flags is not None:
+            raise RecordFormatError("flags present without u")
 
 
 def _one_based(images: Sequence[int]) -> str:

@@ -1,12 +1,14 @@
 """Homomorphisms, isomorphisms, and automorphism groups of (GL-)racks.
 
 Maps between carriers are plain tuples of ints: ``phi[x]`` is the image of
-``x``.  Every hom, iso, GL-iso and automorphism query runs the one
+``x``.  Every hom, GL-hom, iso, GL-iso and automorphism query runs the one
 backtracking search ``_search``: it assigns points in index order and
 checks each constraint ``phi(s_a(b)) = t_phi(a)(phi(b))`` (and, for
 GL-racks, ``phi u_1 = u_2 phi``) as soon as all its points are assigned,
 whichever of them comes last, so every map it returns is a homomorphism.
-The exhaustive ``|S|^|R|`` loop is kept as a test oracle behind
+Every search runs to completion.  ``hom_rack`` and ``hom_glrack`` put one
+pointwise structure (``_pointwise_rack``) on the hom set it returns.  The
+exhaustive ``|S|^|R|`` loop is kept as a test oracle behind
 ``brute_force=True``.
 """
 
@@ -20,7 +22,6 @@ from .perm import Permutation, SmallGroup
 from .racks import Rack, check_rack, is_medial, is_quandle, profile
 
 __all__ = [
-    "SearchBudgetExceeded",
     "is_rack_hom",
     "enumerate_homs",
     "find_iso",
@@ -37,11 +38,6 @@ __all__ = [
 ]
 
 Map = tuple[int, ...]
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when a backtracking search exceeds its node budget; never
-    silently reported as an empty or negative result."""
 
 
 def is_rack_hom(source: Rack, target: Rack, phi: Sequence[int]) -> bool:
@@ -67,10 +63,10 @@ def _search(
     *,
     injective: bool,
     u: Optional[tuple[Permutation, Permutation]] = None,
-    budget: Optional[int],
     first: bool,
 ) -> list[Map]:
-    """The one backtracking search behind every hom, iso and Aut query.
+    """The one backtracking search behind every hom, iso and Aut query,
+    plain or GL.
 
     Assigns ``phi[0], phi[1], ...`` in index order, trying ``candidates[x]``
     (default: every target point) in ascending order, so results come out
@@ -78,9 +74,8 @@ def _search(
     is checked exactly once, at the step that assigns the last of its three
     points ``a``, ``b`` and ``s_a(b)``; so every result is a homomorphism.
     With ``u = (u_1, u_2)`` each ``phi(u_1(y)) = u_2(phi(y))`` is checked
-    the same way.  ``injective`` restricts to injective maps, ``first``
-    stops at the first result, and more than ``budget`` tried assignments
-    raise :class:`SearchBudgetExceeded`.
+    the same way.  ``injective`` restricts to injective maps and ``first``
+    stops at the first result; otherwise the search is exhaustive.
     """
     n, m = source.n, target.n
     if candidates is None:
@@ -100,20 +95,15 @@ def _search(
     phi = [0] * n
     used = [False] * m
     results: list[Map] = []
-    nodes = 0
 
     def extend(x: int) -> bool:
         """Extend phi[:x]; True once ``first`` has its result."""
-        nonlocal nodes
         if x == n:
             results.append(tuple(phi))
             return first
         for v in candidates[x]:
             if injective and used[v]:
                 continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(f"search exceeded {budget} nodes")
             phi[x] = v
             for a, b, c in checks[x]:
                 if phi[c] != t_rows[phi[a]][phi[b]]:
@@ -137,14 +127,12 @@ def enumerate_homs(
     source: Rack,
     target: Rack,
     *,
-    budget: Optional[int] = None,
     brute_force: bool = False,
 ) -> list[Map]:
     """All rack homomorphisms from ``source`` to ``target``, lexicographic.
 
-    ``budget`` caps tried assignments; exceeding it raises
-    :class:`SearchBudgetExceeded`.  ``brute_force=True`` filters all
-    ``|target|^|source|`` maps instead (a test oracle).
+    ``brute_force=True`` filters all ``|target|^|source|`` maps instead
+    (a test oracle).
     """
     if brute_force:
         return [
@@ -152,7 +140,7 @@ def enumerate_homs(
             for phi in itertools.product(range(target.n), repeat=source.n)
             if is_rack_hom(source, target, phi)
         ]
-    return _search(source, target, injective=False, budget=budget, first=False)
+    return _search(source, target, injective=False, first=False)
 
 
 def _iso_candidates_by_cycle_type(source: Rack, target: Rack):
@@ -164,9 +152,7 @@ def _iso_candidates_by_cycle_type(source: Rack, target: Rack):
     ]
 
 
-def find_iso(
-    source: Rack, target: Rack, budget: Optional[int] = None
-) -> Optional[Permutation]:
+def find_iso(source: Rack, target: Rack) -> Optional[Permutation]:
     """A witness rack isomorphism, or ``None``.
 
     Fast-rejects on profile mismatch, then searches the bijections whose
@@ -175,7 +161,7 @@ def find_iso(
     if source.n != target.n or profile(source) != profile(target):
         return None
     candidates = _iso_candidates_by_cycle_type(source, target)
-    found = _search(source, target, candidates, injective=True, budget=budget, first=True)
+    found = _search(source, target, candidates, injective=True, first=True)
     return Permutation(found[0]) if found else None
 
 
@@ -183,9 +169,9 @@ def is_isomorphic(source: Rack, target: Rack) -> bool:
     return find_iso(source, target) is not None
 
 
-def aut_group(rack: Rack, budget: Optional[int] = None) -> SmallGroup:
+def aut_group(rack: Rack) -> SmallGroup:
     """All rack automorphisms, materialized as a :class:`SmallGroup`."""
-    autos = _search(rack, rack, injective=True, budget=budget, first=False)
+    autos = _search(rack, rack, injective=True, first=False)
     elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(rack.n, elements, elements)
 
@@ -202,33 +188,25 @@ def is_gl_hom(g1: GLRack, g2: GLRack, phi: Sequence[int]) -> bool:
     return all(phi[u1[x]] == u2[phi[x]] for x in range(g1.n))
 
 
-def enumerate_gl_homs(
-    g1: GLRack, g2: GLRack, budget: Optional[int] = None
-) -> list[Map]:
+def enumerate_gl_homs(g1: GLRack, g2: GLRack) -> list[Map]:
     """All GL-rack homomorphisms from ``g1`` to ``g2``, lexicographic."""
-    return _search(
-        g1.rack, g2.rack, injective=False, u=(g1.u, g2.u), budget=budget, first=False
-    )
+    return _search(g1.rack, g2.rack, injective=False, u=(g1.u, g2.u), first=False)
 
 
-def find_gl_iso(
-    g1: GLRack, g2: GLRack, budget: Optional[int] = None
-) -> Optional[Permutation]:
+def find_gl_iso(g1: GLRack, g2: GLRack) -> Optional[Permutation]:
     """A witness GL-rack isomorphism, or ``None``."""
     if g1.n != g2.n or g1.u.cycle_type() != g2.u.cycle_type():
         return None
     candidates = _iso_candidates_by_cycle_type(g1.rack, g2.rack)
     found = _search(
-        g1.rack, g2.rack, candidates, injective=True, u=(g1.u, g2.u), budget=budget, first=True
+        g1.rack, g2.rack, candidates, injective=True, u=(g1.u, g2.u), first=True
     )
     return Permutation(found[0]) if found else None
 
 
 def aut_glr(gl: GLRack) -> SmallGroup:
     """The GL-rack automorphism group, ``C_{Aut R}(u)``."""
-    autos = _search(
-        gl.rack, gl.rack, injective=True, u=(gl.u, gl.u), budget=None, first=False
-    )
+    autos = _search(gl.rack, gl.rack, injective=True, u=(gl.u, gl.u), first=False)
     elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(gl.n, elements, elements)
 
@@ -237,9 +215,31 @@ def aut_glr(gl: GLRack) -> SmallGroup:
 # Hom racks
 
 
-def hom_rack(
-    source: Rack, target: Rack, budget: Optional[int] = None
-) -> tuple[Rack, list[Map]]:
+def _pointwise_rack(source: Rack, target: Rack, homs: list[Map]) -> Rack:
+    """The rack on ``homs`` whose structure is pointwise in ``target``:
+    ``t~_g(f)(x) = t_{g(x)}(f(x))``.
+
+    Raises ``AssertionError`` when a product leaves ``homs``: a hom set into
+    a medial target is closed, so that would be a bug.  The result is
+    checked medial, and a quandle when ``source`` or ``target`` is one.
+    """
+    index = {phi: i for i, phi in enumerate(homs)}
+    t_rows = target.tables()
+    s = []
+    for g in homs:
+        try:
+            images = [index[tuple(t_rows[gx][fx] for gx, fx in zip(g, f))] for f in homs]
+        except KeyError:
+            raise AssertionError("a pointwise product leaves the hom set") from None
+        s.append(Permutation(images))
+    rack = check_rack(len(homs), s)
+    assert is_medial(rack)
+    if is_quandle(source) or is_quandle(target):
+        assert is_quandle(rack)
+    return rack
+
+
+def hom_rack(source: Rack, target: Rack) -> tuple[Rack, list[Map]]:
     """The canonical medial rack on ``Hom(source, target)``.
 
     Requires ``target`` medial.  The carrier is the hom list in lexicographic
@@ -248,59 +248,26 @@ def hom_rack(
     """
     if not is_medial(target):
         raise ValueError("hom_rack requires a medial target rack")
-    homs = enumerate_homs(source, target, budget=budget)
-    index = {phi: i for i, phi in enumerate(homs)}
-    t_rows = target.tables()
-    s = []
-    for g in homs:
-        images = []
-        for f in homs:
-            h = tuple(t_rows[g[x]][f[x]] for x in range(source.n))
-            images.append(index[h])
-        s.append(Permutation(images))
-    rack = check_rack(len(homs), s)
-    assert is_medial(rack)
-    if is_quandle(source) or is_quandle(target):
-        assert is_quandle(rack)
-    return rack, homs
+    homs = enumerate_homs(source, target)
+    return _pointwise_rack(source, target, homs), homs
 
 
-def hom_glrack(
-    g1: GLRack, g2: GLRack, budget: Optional[int] = None
-) -> tuple[GLRack, list[Map]]:
+def hom_glrack(g1: GLRack, g2: GLRack) -> tuple[GLRack, list[Map]]:
     """The canonical medial GL-rack on the GL-hom-set.
 
     Requires ``g2``'s underlying rack medial.  The carrier is the GL-hom
-    list in lexicographic order; verified to be a subrack of the full hom
-    rack; ``u`` acts by postcomposition with ``u_2``.
+    list in lexicographic order with the pointwise structure of
+    :func:`hom_rack`, of whose rack it is a subrack; ``u`` acts by
+    postcomposition with ``u_2``.
     """
     if not is_medial(g2.rack):
         raise ValueError("hom_glrack requires a medial target rack")
-    full_rack, full_homs = hom_rack(g1.rack, g2.rack, budget=budget)
-    gl_homs = [phi for phi in full_homs if is_gl_hom(g1, g2, phi)]
-    positions = [i for i, phi in enumerate(full_homs) if is_gl_hom(g1, g2, phi)]
-    pos_index = {p: i for i, p in enumerate(positions)}
-    # subrack condition in the ambient hom rack
-    for p in positions:
-        row = full_rack.s[p]
-        inv = row.inverse()
-        for q in positions:
-            if row.images[q] not in pos_index or inv.images[q] not in pos_index:
-                raise AssertionError("GL-hom-set is not a subrack of the hom rack")
-    m = len(gl_homs)
-    s = [
-        Permutation([pos_index[full_rack.s[p].images[q]] for q in positions])
-        for p in positions
-    ]
-    rack = check_rack(m, s)
+    gl_homs = enumerate_gl_homs(g1, g2)
+    rack = _pointwise_rack(g1.rack, g2.rack, gl_homs)
     index = {phi: i for i, phi in enumerate(gl_homs)}
     u2 = g2.u.images
-    u = Permutation(
-        [index[tuple(u2[v] for v in phi)] for phi in gl_homs]
-    )
-    gl = check_gl(rack, u)
-    assert is_medial(rack)
-    return gl, gl_homs
+    u = Permutation([index[tuple(u2[v] for v in phi)] for phi in gl_homs])
+    return check_gl(rack, u), gl_homs
 
 
 # ---------------------------------------------------------------------------

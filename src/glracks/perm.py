@@ -21,7 +21,6 @@ __all__ = [
     "GroupTooLargeError",
     "CycleParseError",
     "compose",
-    "inverse",
     "parse_cycles",
     "print_cycles",
     "closure",
@@ -31,7 +30,8 @@ __all__ = [
     "conjugation_orbits",
 ]
 
-DEFAULT_GROUP_CAP = math.factorial(10)
+# the most elements ``closure`` materializes
+GROUP_CAP = math.factorial(10)
 
 
 class DegreeMismatchError(ValueError):
@@ -101,9 +101,6 @@ class Permutation:
             inv[j] = i
         return Permutation.unchecked(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its smallest
         point, ordered by smallest moved point."""
@@ -160,10 +157,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
         raise DegreeMismatchError(f"degrees differ: {a.degree} vs {b.degree}")
     ai = a.images
     return Permutation.unchecked(tuple(ai[j] for j in b.images))
-
-
-def inverse(a: Permutation) -> Permutation:
-    return a.inverse()
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -279,13 +272,13 @@ def symmetric_group(degree: int) -> SmallGroup:
 
 
 def closure(
-    generators: Iterable[Permutation], degree: Optional[int] = None, cap: int = DEFAULT_GROUP_CAP
+    generators: Iterable[Permutation], degree: Optional[int] = None
 ) -> SmallGroup:
     """Materialize the group generated by ``generators``.
 
     Breadth-first product closure; raises :class:`GroupTooLargeError` once
-    more than ``cap`` elements are found.  ``degree`` is required when the
-    generator list is empty (the result is then the trivial group).
+    more than :data:`GROUP_CAP` elements are found.  ``degree`` is required
+    when the generator list is empty (the result is then the trivial group).
     """
     gens = list(generators)
     if gens:
@@ -298,6 +291,7 @@ def closure(
     elif degree is None:
         raise ValueError("degree required for an empty generator list")
 
+    cap = GROUP_CAP
     identity = tuple(range(degree))
     seen = {identity}
     frontier = [identity]
@@ -336,43 +330,17 @@ def centralizer(group: SmallGroup, others: Iterable[Permutation]) -> SmallGroup:
     return SmallGroup(group.degree, tuple(members), tuple(members))
 
 
-def _conjugating_for_same_cycle_type(a: Permutation, b: Permutation) -> Permutation:
-    """A permutation g with g a g^-1 = b, assuming equal cycle types."""
-    by_len_a: dict[int, list[tuple[int, ...]]] = {}
-    by_len_b: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in a.cycles():
-        by_len_a.setdefault(len(cyc), []).append(cyc)
-    for cyc in b.cycles():
-        by_len_b.setdefault(len(cyc), []).append(cyc)
-    images = [None] * a.degree
-    for length, cycs_a in by_len_a.items():
-        for ca, cb in zip(cycs_a, by_len_b[length]):
-            for pa, pb in zip(ca, cb):
-                images[pa] = pb
-    fixed_a = [i for i in range(a.degree) if images[i] is None]
-    fixed_b = sorted(set(range(b.degree)) - {j for j in images if j is not None})
-    for pa, pb in zip(fixed_a, fixed_b):
-        images[pa] = pb
-    return Permutation(images)  # full check; a wrong witness would be a bug
-
-
 def are_conjugate(
     group: SmallGroup, a: Permutation, b: Permutation
 ) -> tuple[bool, Optional[Permutation]]:
     """Decide whether ``g a g^-1 = b`` for some ``g`` in ``group``.
 
-    Returns ``(True, witness)`` or ``(False, None)``.  When ``group`` is the
-    full symmetric group, conjugacy is decided by cycle-type equality and the
-    witness is constructed directly.
+    Returns ``(True, witness)`` or ``(False, None)``.
     """
     if a.degree != group.degree or b.degree != group.degree:
         raise DegreeMismatchError("permutations must match group degree")
     if a == b:
         return True, Permutation.identity(group.degree)
-    if group.is_symmetric():
-        if a.cycle_type() != b.cycle_type():
-            return False, None
-        return True, _conjugating_for_same_cycle_type(a, b)
     bi = b.images
     for g in group.elements:
         gi = g.images

@@ -17,7 +17,6 @@ from .perm import (
     Permutation,
     SmallGroup,
     closure,
-    DEFAULT_GROUP_CAP,
 )
 
 __all__ = [
@@ -30,6 +29,7 @@ __all__ = [
     "is_quandle",
     "is_medial",
     "is_left_distributive",
+    "inn_group",
     "transvection_group",
     "dual",
     "theta",
@@ -145,7 +145,7 @@ def is_left_distributive(rack: Rack) -> bool:
     return True
 
 
-def transvection_group(rack: Rack, cap: int = DEFAULT_GROUP_CAP) -> SmallGroup:
+def transvection_group(rack: Rack) -> SmallGroup:
     """Closure of ``{s_x s_y^-1}``; abelian exactly when the rack is medial."""
     gens = []
     seen = set()
@@ -155,10 +155,10 @@ def transvection_group(rack: Rack, cap: int = DEFAULT_GROUP_CAP) -> SmallGroup:
             if g.images not in seen:
                 seen.add(g.images)
                 gens.append(g)
-    return closure(gens, degree=rack.n, cap=cap)
+    return closure(gens, degree=rack.n)
 
 
-def inn_group(rack: Rack, cap: int = DEFAULT_GROUP_CAP) -> SmallGroup:
+def inn_group(rack: Rack) -> SmallGroup:
     """The inner automorphism group, the closure of ``{s_x}``."""
     gens = []
     seen = set()
@@ -166,7 +166,7 @@ def inn_group(rack: Rack, cap: int = DEFAULT_GROUP_CAP) -> SmallGroup:
         if p.images not in seen:
             seen.add(p.images)
             gens.append(p)
-    return closure(gens, degree=rack.n, cap=cap)
+    return closure(gens, degree=rack.n)
 
 
 def dual(rack: Rack) -> Rack:
@@ -382,9 +382,9 @@ class RackProfile:
     inn_order: Optional[int]
 
 
-def profile(rack: Rack, cap: int = DEFAULT_GROUP_CAP) -> RackProfile:
+def profile(rack: Rack) -> RackProfile:
     try:
-        inn_order = inn_group(rack, cap=cap).order
+        inn_order = inn_group(rack).order
     except GroupTooLargeError:
         inn_order = None
     return RackProfile(

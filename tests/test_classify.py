@@ -231,15 +231,6 @@ class TestClassification:
                     matches = [r for r in reps if find_gl_iso(gl, r) is not None]
                     assert len(matches) == 1
 
-    def test_filters(self, racks_by_order):
-        full = classify_gl(4, racks_by_order[4])
-        quandles = classify_gl(4, racks_by_order[4], quandles_only=True)
-        medial = classify_gl(4, racks_by_order[4], medial_only=True)
-        assert len(quandles.records) == sum(
-            1 for r in full.records if r.flags.gl_quandle
-        )
-        assert len(medial.records) == sum(1 for r in full.records if r.flags.medial)
-
     def test_jobs_deterministic(self, racks_by_order):
         serial = classify_gl(4, racks_by_order[4], jobs=1)
         parallel = classify_gl(4, racks_by_order[4], jobs=2)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from glracks.cli import main
-from glracks.formats import read_records, write_records, StructureRecord
+from glracks.formats import RecordFormatError, read_records, write_records, StructureRecord
 from glracks.racks import dihedral
 
 
@@ -31,6 +31,16 @@ class TestCheck:
         code, out, _err = run(capsys, "check", path)
         assert code == 1
         assert "INVALID" in out
+
+    def test_flags_without_u(self, capsys, tmp_path):
+        path = str(tmp_path / "bad.txt")
+        with open(path, "w") as fh:
+            fh.write("n=1 s=1 quandle=0 medial=0 legendrian=1\n")
+        code, out, _err = run(capsys, "check", path)
+        assert code == 1
+        assert out.splitlines()[0] == f"{path}:1: INVALID: flags present without u"
+        with pytest.raises(RecordFormatError, match="flags present without u"):
+            read_records(path)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _out, err = run(capsys, "check", str(tmp_path / "nope.txt"))
@@ -156,6 +166,30 @@ class TestClassify:
         assert code == 0
         assert len(read_records(path)) == 19
         assert "records=19" in out
+
+    def test_filtered_out_file_bytes(self, capsys, tmp_path):
+        # sha256 and record count of ``classify -n 5 --out`` per filter
+        expected = {
+            ("--quandles",): (
+                74,
+                "a8f5afac8ffdda645f81b4426a87777a6556bee5c8300e2edcc8b45791ce8455",
+            ),
+            ("--medial",): (
+                298,
+                "a68d8b8d2fb1549f27cf13ded33b7baebe6dc2c93e37009c9b1bdb9400995967",
+            ),
+            ("--quandles", "--medial"): (
+                68,
+                "36184a4ecab35d3c8b1ceeb3cd80aae6a1ddc12ac9612bdf403657a0fb949066",
+            ),
+        }
+        for flags, (records, digest) in expected.items():
+            path = str(tmp_path / "cls.txt")
+            code, out, _err = run(capsys, "classify", "-n", "5", *flags, "--out", path)
+            assert code == 0
+            assert out.strip() == f"n=5 records={records}"
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
 
     def test_long_run_gate(self, capsys):
         code, _out, err = run(capsys, "classify", "-n", "7")
@@ -288,6 +322,28 @@ class TestOtherCommands:
         code, out, _err = run(capsys, "count", "-n", "4")
         assert code == 0
         assert out.strip() == "n=4 g=62 g_m=61 g_q=19 g_qm=18 r=19 r_m=18 r_q=7 r_qm=6"
+
+    def test_count_not_exhaustive(self, capsys, monkeypatch):
+        # one rack's aut_group runs out of memory: classify and count both
+        # exit 2 with the same non-exhaustive lines, and count prints none
+        from glracks import classify
+
+        failing = classify.enumerate_racks(3)[5]
+        real = classify.aut_group
+
+        def aut_group(rack):
+            if rack == failing:
+                raise MemoryError("injected")
+            return real(rack)
+
+        monkeypatch.setattr(classify, "aut_group", aut_group)
+        code, _out, classify_err = run(capsys, "classify", "-n", "3")
+        assert code == 2
+        assert classify_err.splitlines() == ["non-exhaustive: rack 5: injected"]
+        code, out, err = run(capsys, "count", "-n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == classify_err
 
     def test_aut(self, capsys, tmp_path):
         path = str(tmp_path / "r.txt")

@@ -57,8 +57,9 @@ class TestRoundTrips:
     def test_fg_identity_on_gl_quandles(self, racks_by_order):
         corpus = []
         for n in (0, 1, 2, 3, 4):
-            for rec in classify_gl(n, racks_by_order[n], quandles_only=True).records:
-                corpus.append(rec.glrack())
+            for rec in classify_gl(n, racks_by_order[n]).records:
+                if rec.flags.gl_quandle:
+                    corpus.append(rec.glrack())
         report = roundtrip_check(gl_quandles=corpus)
         assert report.ok, report.failures
         assert report.gl_quandles_checked == len(corpus)

@@ -18,7 +18,7 @@ from glracks.morphisms import (
     is_gl_hom,
     is_isomorphic,
     is_rack_hom,
-    SearchBudgetExceeded,
+    _pointwise_rack,
 )
 from glracks.perm import Permutation, centralizer, parse_cycles
 from glracks.racks import (
@@ -65,10 +65,6 @@ class TestHoms:
         homs = set(enumerate_homs(source, target))
         for phi in itertools.product(range(3), repeat=3):
             assert is_rack_hom(source, target, phi) == (phi in homs)
-
-    def test_budget(self):
-        with pytest.raises(SearchBudgetExceeded):
-            enumerate_homs(trivial_quandle(5), trivial_quandle(5), budget=10)
 
     def test_empty_source(self):
         assert enumerate_homs(trivial_quandle(0), dihedral(3)) == [()]
@@ -211,6 +207,50 @@ class TestHomRacks:
         # u acts by postcomposition with g2's u
         for i, phi in enumerate(gl_homs):
             assert gl_homs[gl.u.images[i]] == tuple(g2.u.images[v] for v in phi)
+
+    def test_hom_glrack_is_the_gl_subrack_of_hom_rack(self, racks_by_order):
+        # oracle: the full hom rack restricted to the maps is_gl_hom keeps,
+        # with its subrack closure checked by hand
+        from glracks.classify import gl_classes
+
+        gls = [
+            check_gl(rack, u)
+            for n in (0, 1, 2, 3)
+            for rack in racks_by_order[n]
+            for u, _size in gl_classes(rack)
+        ]
+        for g1 in gls:
+            for g2 in gls:
+                if not is_medial(g2.rack):
+                    continue
+                full_rack, full_homs = hom_rack(g1.rack, g2.rack)
+                positions = [
+                    i for i, phi in enumerate(full_homs) if is_gl_hom(g1, g2, phi)
+                ]
+                pos_index = {p: i for i, p in enumerate(positions)}
+                for p in positions:
+                    row, inv = full_rack.s[p], full_rack.s[p].inverse()
+                    for q in positions:
+                        assert row.images[q] in pos_index and inv.images[q] in pos_index
+                gl_homs = [full_homs[p] for p in positions]
+                u2 = g2.u.images
+                gl, homs = hom_glrack(g1, g2)
+                assert homs == gl_homs
+                assert gl.rack.tables() == tuple(
+                    tuple(pos_index[full_rack.s[p].images[q]] for q in positions)
+                    for p in positions
+                )
+                assert gl.u.images == tuple(
+                    gl_homs.index(tuple(u2[v] for v in phi)) for phi in gl_homs
+                )
+
+    def test_pointwise_product_leaving_the_carrier_raises(self):
+        # the identity and the constant map 0 of R_3: the product of the
+        # constant by the identity is x -> 2x mod 3, which is not listed
+        source = target = dihedral(3)
+        homs = [(0, 0, 0), (0, 1, 2)]
+        with pytest.raises(AssertionError):
+            _pointwise_rack(source, target, homs)
 
     def test_is_bihom(self):
         target = dihedral(3)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from glracks import perm
 from glracks.perm import (
     CycleParseError,
     DegreeMismatchError,
@@ -115,9 +116,10 @@ class TestGroups:
         group = closure(gens, 4)
         assert set(group.elements) == set(symmetric_group(4).elements)
 
-    def test_closure_cap(self):
+    def test_closure_cap(self, monkeypatch):
+        monkeypatch.setattr(perm, "GROUP_CAP", 10)
         with pytest.raises(GroupTooLargeError):
-            closure([parse_cycles("(12)", 5), parse_cycles("(12345)", 5)], 5, cap=10)
+            closure([parse_cycles("(12)", 5), parse_cycles("(12345)", 5)], 5)
 
     def test_centralizer_brute_force(self):
         s4 = symmetric_group(4)
@@ -150,6 +152,19 @@ class TestGroups:
         assert witness * a * witness.inverse() == b
         ok, _ = are_conjugate(s5, a, parse_cycles("(12)", 5))
         assert not ok
+
+    def test_are_conjugate_in_symmetric_groups(self):
+        # oracle: in S_d, conjugacy is equality of cycle types
+        for d in range(5):
+            group = symmetric_group(d)
+            for a, b in itertools.product(group.elements, repeat=2):
+                ok, witness = are_conjugate(group, a, b)
+                assert ok == (a.cycle_type() == b.cycle_type())
+                if ok:
+                    assert witness in group
+                    assert witness * a * witness.inverse() == b
+                else:
+                    assert witness is None
 
     def test_are_conjugate_in_proper_subgroup(self):
         # <(1234)> is abelian, so distinct elements are never conjugate
