@@ -467,7 +467,7 @@ def _classify_one_rack(
         for u, _size in classes:
             check_gl(rack, u)
             u_inv = u.inverse()
-            fl = GLFlags(gl_quandle=quandle, medial=medial, legendrian=th == u_inv ** 2)
+            fl = GLFlags(gl_quandle=quandle, medial=medial, legendrian=th == u_inv * u_inv)
             d = th_inv * u_inv
             records.append(
                 formats.StructureRecord(n, s, u.images, d.images, fl, rack_index)

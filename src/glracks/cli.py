@@ -25,9 +25,11 @@ EXIT_NONEXHAUSTIVE = 2
 EXIT_IO = 3
 
 
-def _load_records(path: str) -> list[StructureRecord]:
+def _load_records(path: str) -> tuple[list[StructureRecord], formats._RackTables]:
+    """The records of ``path``, and the racks that reading them checked."""
+    tables = formats._RackTables()
     try:
-        return formats.read_records(path)
+        return formats.read_records(path, tables), tables
     except OSError as exc:
         raise SystemExit(_fail(str(exc), EXIT_IO))
     except RecordFormatError as exc:
@@ -42,11 +44,12 @@ def _fail(message: str, code: int) -> int:
 def _emit_records(records: list[StructureRecord], out: Optional[str], table: bool) -> None:
     if out is not None:
         formats.write_records(out, records)
-    else:
+    elif table:
         for rec in records:
-            print(
-                formats.format_record_table(rec) if table else formats.format_record_line(rec)
-            )
+            print(formats.format_record_table(rec))
+    else:
+        for line in formats.format_record_lines(records):
+            print(line)
 
 
 def _count_line(report: _classify.CountReport) -> str:
@@ -132,8 +135,9 @@ def cmd_enumerate_racks(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    for rec in _load_records(args.file):
-        rack = rec.rack()
+    records, tables = _load_records(args.file)
+    for rec in records:
+        rack = rec.rack(tables)
         aut = aut_group(rack)
         inn = inn_group(rack)
         print(f"n={rec.n} |Aut|={aut.order} |Inn|={inn.order}")
@@ -141,8 +145,9 @@ def cmd_aut(args) -> int:
 
 
 def cmd_glstructures(args) -> int:
-    for rec in _load_records(args.file):
-        rack = rec.rack()
+    records, tables = _load_records(args.file)
+    for rec in records:
+        rack = rec.rack(tables)
         aut = aut_group(rack)
         structures = _classify.gl_structures(rack, aut)
         classes = _classify.gl_classes(rack, aut)
@@ -155,9 +160,10 @@ def cmd_glstructures(args) -> int:
 
 def cmd_functor(args) -> int:
     out_records = []
-    for rec in _load_records(args.file):
+    records, tables = _load_records(args.file)
+    for rec in records:
         if args.direction == "f":
-            gl = functor_f(rec.rack())
+            gl = functor_f(rec.rack(tables))
             out_records.append(
                 StructureRecord(
                     n=gl.n,
@@ -168,7 +174,7 @@ def cmd_functor(args) -> int:
                 )
             )
         else:
-            gl = rec.glrack()
+            gl = rec.glrack(tables)
             if gl is None:
                 return _fail("functor g requires records with a u field", EXIT_INVALID)
             rack = functor_g(gl)
@@ -178,12 +184,12 @@ def cmd_functor(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    source_recs = _load_records(args.source)
-    target_recs = _load_records(args.target)
+    source_recs, source_tables = _load_records(args.source)
+    target_recs, target_tables = _load_records(args.target)
     if len(source_recs) != 1 or len(target_recs) != 1:
         return _fail("hom expects exactly one structure per file", EXIT_INVALID)
-    source = source_recs[0].rack()
-    target = target_recs[0].rack()
+    source = source_recs[0].rack(source_tables)
+    target = target_recs[0].rack(target_tables)
     if args.rack_structure:
         rack, homs = hom_rack(source, target)
         print(f"homs={len(homs)}")
@@ -200,8 +206,9 @@ def cmd_hom(args) -> int:
 
 def cmd_quotient(args) -> int:
     out_records = []
-    for rec in _load_records(args.file):
-        rack = rec.rack()
+    records, tables = _load_records(args.file)
+    for rec in records:
+        rack = rec.rack(tables)
         if args.kind == "assoc":
             quotient, proj = associated_quandle(rack)
         else:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .glrack import GLFlags, GLRack, check_gl, down_map, is_legendrian
+from .glrack import GLFlags, GLRack, check_gl
 from .perm import Permutation, print_cycles
-from .racks import Rack, RackError, check_rack, is_medial, is_quandle
+from .racks import Rack, RackError, check_rack, is_medial, is_quandle, theta
 
 __all__ = [
     "StructureRecord",
@@ -24,6 +25,7 @@ __all__ = [
     "AmbiguousOrientationError",
     "parse_record_line",
     "format_record_line",
+    "format_record_lines",
     "scan_records",
     "read_records",
     "write_records",
@@ -53,39 +55,71 @@ def _read_lines(path: str) -> list[str]:
         raise EncodingError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-class _RackTables:
-    """The rack-level checks of the records of one file read.
+class _Table:
+    """The checks of one rack table ``(n, s)``: ``check_rack`` (its rack,
+    or the error it raised), and ``theta^-1`` and ``is_quandle`` and
+    ``is_medial``, each made when first asked for."""
 
-    Each distinct table ``(n, s)`` is checked once: ``check_rack`` (its
-    rack, or the error it raised) and, when a record carries flags,
-    ``is_quandle`` and ``is_medial``.  A results file repeats each rack
-    table once per GL-structure on it.
+    def __init__(self, n: int, s) -> None:
+        try:
+            self._rack = check_rack(n, s)
+        except RackError as exc:
+            self._rack = exc
+
+    @property
+    def rack(self) -> Rack:
+        if isinstance(self._rack, RackError):
+            raise self._rack.with_traceback(None)
+        return self._rack
+
+    @cached_property
+    def theta_inv(self) -> Permutation:
+        return theta(self.rack).inverse()
+
+    @cached_property
+    def quandle_medial(self) -> tuple[bool, bool]:
+        return is_quandle(self.rack), is_medial(self.rack)
+
+
+class _RackTables:
+    """The table-level work on the records of one file read.
+
+    Each distinct ``s=`` text under each ``n`` is parsed once, to one
+    ``s`` tuple that all its records share (or to the error it raised,
+    re-raised for every later line with that text), and each distinct
+    table ``(n, s)`` is checked once (:class:`_Table`).  A results file
+    repeats each rack table once per GL-structure on it.
     """
 
     def __init__(self) -> None:
-        self._racks: dict = {}
-        self._flags: dict = {}
+        self._texts: dict = {}  # (n, s= text) -> s, or its RecordFormatError
+        self._tables: dict[tuple, _Table] = {}
 
-    def rack(self, n: int, s) -> Rack:
-        key = (n, tuple(map(tuple, s)))  # rows given as lists are accepted
-        found = self._racks.get(key)
+    def parse(self, n: int, text: str) -> tuple[tuple[int, ...], ...]:
+        found = self._texts.get((n, text))
         if found is None:
             try:
-                found = check_rack(n, s)
-            except RackError as exc:
+                found = _parse_table(n, text)
+            except RecordFormatError as exc:
                 found = exc
-            self._racks[key] = found
-        if isinstance(found, RackError):
+            self._texts[n, text] = found
+        if isinstance(found, RecordFormatError):
             raise found.with_traceback(None)
         return found
 
-    def quandle_medial(self, n: int, s) -> tuple[bool, bool]:
-        key = (n, tuple(map(tuple, s)))
-        found = self._flags.get(key)
+    def table(self, n: int, s) -> _Table:
+        key = (n, s)
+        try:
+            found = self._tables.get(key)
+        except TypeError:  # rows given as lists
+            key = (n, tuple(map(tuple, s)))
+            found = self._tables.get(key)
         if found is None:
-            rack = self.rack(n, s)
-            found = self._flags[key] = (is_quandle(rack), is_medial(rack))
+            found = self._tables[key] = _Table(n, s)
         return found
+
+    def rack(self, n: int, s) -> Rack:
+        return self.table(n, s).rack
 
 
 @dataclass(frozen=True)
@@ -105,13 +139,16 @@ class StructureRecord:
     flags: Optional[GLFlags] = None
     rack_index: Optional[int] = None
 
-    def rack(self) -> Rack:
-        return check_rack(self.n, self.s)
+    def rack(self, tables: Optional[_RackTables] = None) -> Rack:
+        """The checked rack; ``tables`` holds the racks of one file read."""
+        if tables is None:
+            tables = _RackTables()
+        return tables.rack(self.n, self.s)
 
-    def glrack(self) -> Optional[GLRack]:
+    def glrack(self, tables: Optional[_RackTables] = None) -> Optional[GLRack]:
         if self.u is None:
             return None
-        return check_gl(self.rack(), Permutation(self.u))
+        return check_gl(self.rack(tables), Permutation(self.u))
 
     def validate(self, tables: Optional[_RackTables] = None) -> None:
         """Full cross-check; raises on any inconsistency.
@@ -122,19 +159,21 @@ class StructureRecord:
         """
         if tables is None:
             tables = _RackTables()
-        rack = tables.rack(self.n, self.s)
+        table = tables.table(self.n, self.s)
+        rack = table.rack
         if self.u is not None:
-            gl = check_gl(rack, Permutation(self.u))
-            if self.d is not None:
-                derived = down_map(gl)
-                if derived.images != tuple(self.d):
-                    raise RecordFormatError(
-                        f"stored d {_one_based(self.d)} != derived down map "
-                        f"{_one_based(derived.images)}"
-                    )
+            u = Permutation(self.u)
+            check_gl(rack, u)
+            derived = table.theta_inv * u.inverse()  # the down map
+            if self.d is not None and derived.images != tuple(self.d):
+                raise RecordFormatError(
+                    f"stored d {_one_based(self.d)} != derived down map "
+                    f"{_one_based(derived.images)}"
+                )
             if self.flags is not None:
-                quandle, medial = tables.quandle_medial(self.n, self.s)
-                if GLFlags(quandle, medial, is_legendrian(gl)) != self.flags:
+                quandle, medial = table.quandle_medial
+                # Legendrian, theta = u^-2, exactly when the down map is u
+                if GLFlags(quandle, medial, derived == u) != self.flags:
                     raise RecordFormatError("stored flags disagree with recomputation")
         elif self.d is not None:
             raise RecordFormatError("d present without u")
@@ -156,10 +195,19 @@ def _parse_images(text: str, n: int, what: str) -> tuple[int, ...]:
     return tuple(v - 1 for v in values)
 
 
+def _parse_table(n: int, text: str) -> tuple[tuple[int, ...], ...]:
+    rows = text.split(";") if n else []
+    if n and len(rows) != n:
+        raise RecordFormatError(f"expected {n} rows in s, got {len(rows)}")
+    return tuple(_parse_images(row, n, "s") for row in rows)
+
+
 _BOOL = {"0": False, "1": True, "true": True, "false": False}
 
 
-def parse_record_line(line: str) -> StructureRecord:
+def parse_record_line(line: str, tables: Optional[_RackTables] = None) -> StructureRecord:
+    """The record of one line.  ``tables`` holds the ``s=`` texts already
+    parsed in the same file read; the other fields are parsed every time."""
     fields: dict[str, str] = {}
     for token in line.split():
         if "=" not in token:
@@ -174,10 +222,9 @@ def parse_record_line(line: str) -> StructureRecord:
         n = int(fields.pop("n"))
     except ValueError as exc:
         raise RecordFormatError("bad n field") from exc
-    rows = fields.pop("s").split(";") if n else []
-    if n and len(rows) != n:
-        raise RecordFormatError(f"expected {n} rows in s, got {len(rows)}")
-    s = tuple(_parse_images(row, n, "s") for row in rows)
+    if tables is None:
+        tables = _RackTables()
+    s = tables.parse(n, fields.pop("s"))
     u = _parse_images(fields.pop("u"), n, "u") if "u" in fields else None
     d = _parse_images(fields.pop("d"), n, "d") if "d" in fields else None
     rack_index = None
@@ -205,10 +252,33 @@ def parse_record_line(line: str) -> StructureRecord:
 
 
 def format_record_line(record: StructureRecord) -> str:
+    return _format_line(record, _format_table(record.s))
+
+
+def format_record_lines(records: Iterable[StructureRecord]) -> Iterator[str]:
+    """The line of each record, the ``s=`` text of each distinct table
+    formatted once."""
+    texts: dict = {}
+    for record in records:
+        s = record.s
+        try:
+            s_text = texts.get(s)
+        except TypeError:  # rows given as lists
+            s_text = _format_table(s)
+        if s_text is None:
+            s_text = texts[s] = _format_table(s)
+        yield _format_line(record, s_text)
+
+
+def _format_table(s) -> str:
+    return ";".join(_one_based(row) for row in s)
+
+
+def _format_line(record: StructureRecord, s_text: str) -> str:
     parts = [f"n={record.n}"]
     if record.rack_index is not None:
         parts.append(f"rack={record.rack_index}")
-    parts.append("s=" + ";".join(_one_based(row) for row in record.s))
+    parts.append("s=" + s_text)
     if record.u is not None:
         parts.append("u=" + _one_based(record.u))
     if record.d is not None:
@@ -220,37 +290,41 @@ def format_record_line(record: StructureRecord) -> str:
     return " ".join(parts)
 
 
-def scan_records(path: str) -> Iterator[tuple[int, StructureRecord | ValueError]]:
+def scan_records(
+    path: str, tables: Optional[_RackTables] = None
+) -> Iterator[tuple[int, StructureRecord | ValueError]]:
     """``(lineno, record)`` for each record line of ``path``, or
     ``(lineno, error)`` for one that does not parse or validate.
 
     The whole file is read before this returns, so ``OSError``, or
     :class:`EncodingError` when it is not UTF-8, comes before any line.
-    Each distinct rack table is checked once per call; ``u``, ``d`` and
-    the flags once per record.
+    Each distinct rack table is parsed and checked once per call, into
+    ``tables`` when given; ``u``, ``d`` and the flags once per record.
     """
-    return _scan_lines(_read_lines(path))
+    return _scan_lines(_read_lines(path), _RackTables() if tables is None else tables)
 
 
-def _scan_lines(lines: list[str]):
-    tables = _RackTables()
+def _scan_lines(lines: list[str], tables: _RackTables):
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("watermark"):
             continue
         try:
-            found = parse_record_line(line)
+            found = parse_record_line(line, tables)
             found.validate(tables)
         except (RecordFormatError, RackError, ValueError) as exc:
             found = exc
         yield lineno, found
 
 
-def read_records(path: str) -> list[StructureRecord]:
+def read_records(
+    path: str, tables: Optional[_RackTables] = None
+) -> list[StructureRecord]:
     """The records of ``path``; :class:`RecordFormatError` names the
-    ``path:line`` of the first bad one."""
+    ``path:line`` of the first bad one.  The records of one table share
+    one ``s``; ``tables`` keeps their checked racks for the caller."""
     records = []
-    for lineno, found in scan_records(path):
+    for lineno, found in scan_records(path, tables):
         if isinstance(found, ValueError):
             raise RecordFormatError(f"{path}:{lineno}: {found}") from found
         records.append(found)
@@ -260,8 +334,7 @@ def read_records(path: str) -> list[StructureRecord]:
 def write_records(path: str, records: Iterable[StructureRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# glracks structure records v1\n")
-        for record in records:
-            fh.write(format_record_line(record) + "\n")
+        fh.writelines(line + "\n" for line in format_record_lines(records))
 
 
 def format_record_table(record: StructureRecord) -> str:
@@ -311,8 +384,7 @@ def append_checkpoint(path: str, completed: list, racks: Sequence[Rack]) -> None
         if fh.tell() == 0:
             fh.write(checkpoint_header(racks) + "\n")
         for rack_index, records in completed:
-            for rec in records:
-                fh.write(format_record_line(rec) + "\n")
+            fh.writelines(line + "\n" for line in format_record_lines(records))
             fh.write(f"watermark rack={rack_index}\n")
 
 
@@ -382,7 +454,7 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
                 pending = []
                 kept = offset
             else:
-                sr = parse_record_line(line)
+                sr = parse_record_line(line, checked)
                 if sr.u is None or sr.d is None or sr.flags is None:
                     raise RecordFormatError("checkpoint record lacks u, d or flags")
                 sr.validate(checked)

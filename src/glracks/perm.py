@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import total_ordering
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -313,19 +314,27 @@ def closure(
     return SmallGroup(degree, tuple(gens), elements)
 
 
+def _row_getter(row: tuple[int, ...]):
+    """``f`` with ``f(seq) == tuple(seq[i] for i in row)``, built in C by
+    ``itemgetter`` for rows of two or more points."""
+    if len(row) > 1:
+        return itemgetter(*row)
+    return lambda seq: tuple(seq[i] for i in row)
+
+
 def centralizer(group: SmallGroup, others: Iterable[Permutation]) -> SmallGroup:
     """The subgroup of ``group`` commuting with every permutation in ``others``."""
     others = list(others)
     for s in others:
         if s.degree != group.degree:
             raise DegreeMismatchError("centralized elements must match group degree")
-    other_images = [s.images for s in others]
+    # each distinct s with the getter of the row of g s, for any g
+    then_s = [(si, _row_getter(si)) for si in {s.images for s in others}]
     members = []
     for g in group.elements:
         gi = g.images
-        if all(
-            tuple(gi[j] for j in si) == tuple(si[j] for j in gi) for si in other_images
-        ):
+        then_g = _row_getter(gi)  # the row of s g, for any s
+        if all(then(gi) == then_g(si) for si, then in then_s):
             members.append(g)
     return SmallGroup(group.degree, tuple(members), tuple(members))
 
@@ -361,17 +370,13 @@ def conjugation_orbits(
     is then not closed under conjugation, which a correct caller rules out.
     """
     remaining = set(members)
-    elems = [g.images for g in group.elements]
-    n = group.degree
+    # g a g^-1 is the row of g a read at g^-1
+    pairs = [(g.images, _row_getter(g.inverse().images)) for g in group.elements]
     orbits = []
     while remaining:
         a = min(remaining)
-        orbit = set()
-        for gi in elems:
-            conj = [0] * n
-            for i in range(n):
-                conj[gi[i]] = gi[a[i]]
-            orbit.add(tuple(conj))
+        then_a = _row_getter(a)
+        orbit = {at_inv(then_a(gi)) for gi, at_inv in pairs}
         if not orbit <= remaining:
             raise ValueError(f"conjugation orbit of {a} leaves the member set")
         remaining -= orbit

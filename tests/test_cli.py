@@ -1,10 +1,12 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from glracks.classify import enumerate_racks
 from glracks.cli import main
 from glracks.formats import RecordFormatError, read_records, write_records, StructureRecord
 from glracks.racks import dihedral
@@ -244,6 +246,39 @@ class TestClassify:
         assert code == 0
         assert "records=3" in out
 
+    def test_library_classify_and_check_bytes(self, capsys, tmp_path, monkeypatch):
+        # a seeded library of every order-6 rack, each relabeled, in
+        # shuffled order, through classify --source and then check: the
+        # pinned digests catch any change to the bytes of this path
+        rng = random.Random(6)
+        tables = []
+        for rack in enumerate_racks(6):
+            p = list(range(6))
+            rng.shuffle(p)
+            table = [[0] * 6 for _ in range(6)]
+            for x, row in enumerate(rack.tables()):
+                for y, v in enumerate(row):
+                    table[p[x]][p[y]] = p[v] + 1
+            tables.append(table)
+        rng.shuffle(tables)
+        monkeypatch.chdir(tmp_path)
+        with open("lib.txt", "w") as fh:
+            fh.write(repr(tables))
+        code, out, _err = run(
+            capsys, "classify", "-n", "6", "--source", "lib.txt", "--out", "out.txt"
+        )
+        assert (code, out) == (0, "n=6 records=2132\n")
+        with open("out.txt", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "74462f377f64249798f5e9a41dcbca7f85cadfb8b29dcbcc8be5bbbb9bd9d905"
+            )
+        code, out, _err = run(capsys, "check", "out.txt")
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "bbf6a65ee3b76e3ca5a9ddacdd75f39645a0bf231398b1bc5adebf2c0272becf"
+        )
+
     def test_source_order_mismatch(self, capsys, tmp_path):
         lib = str(tmp_path / "lib.txt")
         rack = dihedral(3)
@@ -396,3 +431,35 @@ class TestOtherCommands:
         code, out, _err = run(capsys, "quotient", "assoc", path)
         assert code == 0
         assert "n=1" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["aut", "{racks}"],
+            ["glstructures", "{racks}"],
+            ["quotient", "assoc", "{racks}"],
+            ["functor", "f", "{racks}"],
+            ["functor", "g", "{classes}"],
+            ["hom", "{one}", "{one}"],
+        ],
+    )
+    def test_each_table_is_checked_once(self, capsys, tmp_path, monkeypatch, argv):
+        # the commands use the racks that reading their records checked
+        from glracks import formats
+
+        paths = {name: str(tmp_path / f"{name}.txt") for name in ("racks", "classes", "one")}
+        assert run(capsys, "enumerate-racks", "-n", "4", "--out", paths["racks"])[0] == 0
+        assert run(capsys, "classify", "-n", "3", "--out", paths["classes"])[0] == 0
+        write_records(paths["one"], [StructureRecord(n=3, s=dihedral(3).tables())])
+        argv = [arg.format(**paths) for arg in argv]
+        # each file read checks each of its distinct tables once
+        expected = sum(
+            len({rec.s for rec in read_records(arg)}) for arg in argv if arg in paths.values()
+        )
+        calls = []
+        real = formats.check_rack
+        monkeypatch.setattr(
+            formats, "check_rack", lambda n, s: calls.append(s) or real(n, s)
+        )
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == expected

@@ -10,12 +10,14 @@ from glracks.formats import (
     StructureRecord,
     append_checkpoint,
     format_record_line,
+    format_record_lines,
     format_record_table,
     ingest_rack_library,
     parse_bracketed_lists,
     parse_record_line,
     read_checkpoint,
     read_records,
+    scan_records,
     write_records,
 )
 from glracks.racks import dihedral, trivial_quandle
@@ -189,6 +191,67 @@ class TestOneCheckPerTable:
         done, records = read_checkpoint(path, racks)
         assert done == set(range(len(racks)))
         assert records == full.records
+
+
+class TestOneParsePerTable:
+    """Each ``s=`` text is parsed once per read and each table checked and
+    formatted once, and every error still reaches every line it is on."""
+
+    def scan(self, tmp_path, text):
+        path = str(tmp_path / "records.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return {
+            lineno: str(found) if isinstance(found, ValueError) else found
+            for lineno, found in scan_records(path)
+        }
+
+    def test_same_text_under_another_n(self, tmp_path):
+        scanned = self.scan(
+            tmp_path, "n=2 s=2,1;2,1\nn=3 s=2,1;2,1\nn=2 s=2,1;2,1 u=2,1 d=1,2\n"
+        )
+        assert scanned[2] == "expected 3 rows in s, got 2"
+        assert scanned[1].s is scanned[3].s == ((1, 0), (1, 0))
+
+    def test_bad_text_is_reported_on_each_line(self, tmp_path):
+        bad = "n=2 s=1,x;2,1 u=1,2\n"
+        scanned = self.scan(tmp_path, bad + bad + "n=2 s=2,1;2,1\n" + bad)
+        message = "bad s array '1,x'"
+        assert scanned[1] == scanned[2] == scanned[4] == message
+        assert isinstance(scanned[3], StructureRecord)
+
+    def test_two_texts_of_one_table_are_checked_once(self, tmp_path, monkeypatch):
+        from glracks import formats
+
+        calls = []
+        real = formats.check_rack
+        monkeypatch.setattr(
+            formats, "check_rack", lambda n, s: calls.append(s) or real(n, s)
+        )
+        scanned = self.scan(
+            tmp_path,
+            "n=2 s=2,1;2,1 u=1,2 d=2,1 quandle=0 medial=1 legendrian=0\n"
+            "n=2 s=02,1;2,01 u=2,1 d=1,2 quandle=0 medial=1 legendrian=0\n"
+            "n=2 s=02,1;2,01 u=2,1 d=2,1\n",
+        )
+        assert scanned[1].s == scanned[2].s and scanned[1].u != scanned[2].u
+        assert scanned[3] == "stored d 2,1 != derived down map 1,2"
+        assert len(calls) == 1
+
+    def test_records_of_one_table_share_s(self, tmp_path, racks_by_order):
+        path = str(tmp_path / "records.txt")
+        write_records(path, classify_gl(4, racks_by_order[4]).records)
+        tables = {}
+        for record in read_records(path):
+            assert tables.setdefault(record.rack_index, record.s) is record.s
+        assert len({id(s) for s in tables.values()}) == len(racks_by_order[4])
+
+    def test_lines_are_formatted_as_one_at_a_time(self, racks_by_order):
+        records = classify_gl(4, racks_by_order[4]).records
+        records.append(StructureRecord(n=2, s=[[1, 0], [1, 0]], u=[0, 1]))
+        assert list(format_record_lines(records)) == [
+            format_record_line(record) for record in records
+        ]
 
 
 class TestCheckpoints:

@@ -1,5 +1,6 @@
-"""The row kernels of check_rack, is_medial and check_gl against the
-element-wise loops they replaced, kept here as reference oracles."""
+"""The row kernels of check_rack, is_medial, check_gl, centralizer and
+conjugation_orbits against the element-wise loops they replaced, kept
+here as reference oracles."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +13,15 @@ from glracks.glrack import (
     NotAutomorphismError,
     check_gl,
 )
-from glracks.morphisms import hom_rack
-from glracks.perm import Permutation
+from glracks.morphisms import aut_group, hom_rack
+from glracks.perm import (
+    DegreeMismatchError,
+    Permutation,
+    SmallGroup,
+    centralizer,
+    closure,
+    conjugation_orbits,
+)
 from glracks.racks import (
     NotABijectionError,
     Rack,
@@ -80,6 +88,42 @@ def check_gl_oracle(rack, u):
         if any(ui[rx[i]] != rx[ui[i]] for i in range(n)):
             raise DoesNotCommuteError(x)
     return rack
+
+
+def centralizer_oracle(group, others):
+    others = list(others)
+    for s in others:
+        if s.degree != group.degree:
+            raise DegreeMismatchError("centralized elements must match group degree")
+    other_images = [s.images for s in others]
+    members = []
+    for g in group.elements:
+        gi = g.images
+        if all(
+            tuple(gi[j] for j in si) == tuple(si[j] for j in gi) for si in other_images
+        ):
+            members.append(g)
+    return SmallGroup(group.degree, tuple(members), tuple(members))
+
+
+def conjugation_orbits_oracle(members, group):
+    remaining = set(members)
+    elems = [g.images for g in group.elements]
+    n = group.degree
+    orbits = []
+    while remaining:
+        a = min(remaining)
+        orbit = set()
+        for gi in elems:
+            conj = [0] * n
+            for i in range(n):
+                conj[gi[i]] = gi[a[i]]
+            orbit.add(tuple(conj))
+        if not orbit <= remaining:
+            raise ValueError(f"conjugation orbit of {a} leaves the member set")
+        remaining -= orbit
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 def outcome(fn, *args):
@@ -192,3 +236,72 @@ class TestCheckGL:
         rack = RACKS[5]
         u = Permutation.identity(rack.n + 1)
         assert outcome(check_gl, rack, u) == outcome(check_gl_oracle, rack, u)
+
+
+# ---------------------------------------------------------------------------
+# The group layer
+
+
+def group_outcome(fn, *args):
+    """What a group function did: its result, or its error's class and text."""
+    try:
+        return ("ok", fn(*args))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def groups_and_perms(draw):
+    """A group generated by random permutations of degree <= 5, with a
+    list of random permutations of the same degree."""
+    n = draw(st.integers(0, 5))
+    perm = st.permutations(range(n)).map(Permutation)
+    group = closure(draw(st.lists(perm, max_size=3)), degree=n)
+    return group, draw(st.lists(perm, max_size=4))
+
+
+class TestCentralizer:
+    def test_agrees_on_every_aut_group_of_order_at_most_5(self):
+        for rack in RACKS:
+            aut = aut_group(rack)
+            assert centralizer(aut, rack.s) == centralizer_oracle(aut, rack.s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(groups_and_perms())
+    def test_agrees_with_oracle(self, case):
+        group, others = case
+        assert centralizer(group, others) == centralizer_oracle(group, others)
+
+    def test_degree_mismatch(self):
+        group = closure([Permutation((1, 2, 0))])
+        with pytest.raises(DegreeMismatchError):
+            centralizer(group, [Permutation((1, 0))])
+
+
+class TestConjugationOrbits:
+    def test_agrees_on_every_aut_group_of_order_at_most_5(self):
+        for rack in RACKS:
+            aut = aut_group(rack)
+            for members in (
+                [g.images for g in aut.elements],
+                [u.images for u in centralizer_oracle(aut, rack.s).elements],
+            ):
+                assert conjugation_orbits(members, aut) == conjugation_orbits_oracle(
+                    members, aut
+                )
+
+    @settings(max_examples=300, deadline=None)
+    @given(groups_and_perms(), st.booleans())
+    def test_agrees_with_oracle(self, case, closed):
+        # the group's own elements are closed under its conjugation;
+        # ``others`` are usually not, and both raise at the same orbit
+        group, others = case
+        members = [g.images for g in (group.elements if closed else others)]
+        assert group_outcome(conjugation_orbits, members, group) == group_outcome(
+            conjugation_orbits_oracle, members, group
+        )
+
+    def test_orbit_leaving_the_members_raises(self):
+        group = closure([Permutation((1, 2, 0)), Permutation((1, 0, 2))])
+        with pytest.raises(ValueError, match=r"conjugation orbit of \(1, 0, 2\) leaves"):
+            conjugation_orbits([(0, 1, 2), (1, 0, 2)], group)
