@@ -16,7 +16,7 @@ from .formats import StructureRecord, RecordFormatError
 from .functors import functor_f, functor_g
 from .glrack import down_map, flags
 from .morphisms import aut_group, enumerate_homs, hom_rack
-from .perm import print_cycles
+from .perm import GroupTooLargeError, print_cycles
 from .racks import RackError, associated_quandle, inn_group, medialization
 
 EXIT_OK = 0
@@ -191,7 +191,12 @@ def cmd_hom(args) -> int:
     source = source_recs[0].rack(source_tables)
     target = target_recs[0].rack(target_tables)
     if args.rack_structure:
-        rack, homs = hom_rack(source, target)
+        try:
+            rack, homs = hom_rack(source, target)
+        except GroupTooLargeError as exc:
+            return _fail(str(exc), EXIT_NONEXHAUSTIVE)
+        except ValueError as exc:  # a target that is not medial
+            return _fail(str(exc), EXIT_INVALID)
         print(f"homs={len(homs)}")
         print(
             formats.format_record_line(StructureRecord(n=rack.n, s=rack.tables()))

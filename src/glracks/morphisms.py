@@ -6,8 +6,9 @@ backtracking search ``_search``: it assigns points in index order and
 checks each constraint ``phi(s_a(b)) = t_phi(a)(phi(b))`` (and, for
 GL-racks, ``phi u_1 = u_2 phi``) as soon as all its points are assigned,
 whichever of them comes last, so every map it returns is a homomorphism.
-Every search runs to completion.  ``hom_rack`` and ``hom_glrack`` put one
-pointwise structure (``_pointwise_rack``) on the hom set it returns.  The
+``hom_rack`` and ``hom_glrack`` put one pointwise structure
+(``_pointwise_rack``) on the hom set it returns, and refuse a hom set whose
+table would exceed ``perm.GROUP_CAP`` entries before building it.  The
 exhaustive ``|S|^|R|`` loop is kept as a test oracle behind
 ``brute_force=True``.
 """
@@ -15,11 +16,13 @@ exhaustive ``|S|^|R|`` loop is kept as a test oracle behind
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Optional, Sequence
 
+from . import perm
 from .glrack import GLRack, check_gl
-from .perm import Permutation, SmallGroup
-from .racks import Rack, check_rack, is_medial, is_quandle, profile
+from .perm import GroupTooLargeError, Permutation, SmallGroup, row_cycle_type
+from .racks import Rack, check_rack, is_medial, is_quandle
 
 __all__ = [
     "is_rack_hom",
@@ -63,7 +66,7 @@ def _search(
     *,
     injective: bool,
     u: Optional[tuple[Permutation, Permutation]] = None,
-    first: bool,
+    limit: Optional[int] = None,
 ) -> list[Map]:
     """The one backtracking search behind every hom, iso and Aut query,
     plain or GL.
@@ -74,8 +77,9 @@ def _search(
     is checked exactly once, at the step that assigns the last of its three
     points ``a``, ``b`` and ``s_a(b)``; so every result is a homomorphism.
     With ``u = (u_1, u_2)`` each ``phi(u_1(y)) = u_2(phi(y))`` is checked
-    the same way.  ``injective`` restricts to injective maps and ``first``
-    stops at the first result; otherwise the search is exhaustive.
+    the same way.  ``injective`` restricts to injective maps and ``limit``
+    stops once that many results are found; otherwise the search is
+    exhaustive.
     """
     n, m = source.n, target.n
     if candidates is None:
@@ -97,10 +101,10 @@ def _search(
     results: list[Map] = []
 
     def extend(x: int) -> bool:
-        """Extend phi[:x]; True once ``first`` has its result."""
+        """Extend phi[:x]; True once ``limit`` results are found."""
         if x == n:
             results.append(tuple(phi))
-            return first
+            return len(results) == limit
         for v in candidates[x]:
             if injective and used[v]:
                 continue
@@ -140,28 +144,40 @@ def enumerate_homs(
             for phi in itertools.product(range(target.n), repeat=source.n)
             if is_rack_hom(source, target, phi)
         ]
-    return _search(source, target, injective=False, first=False)
+    return _search(source, target, injective=False)
 
 
-def _iso_candidates_by_cycle_type(source: Rack, target: Rack):
-    """For each source point, the target points with matching s cycle type."""
-    t_types = [p.cycle_type() for p in target.s]
-    return [
-        [v for v in range(target.n) if t_types[v] == p.cycle_type()]
-        for p in source.s
-    ]
+def _iso_candidates(source: Rack, target: Rack) -> Optional[list[list[int]]]:
+    """For each source point ``x``, the target points ``v`` whose ``t_v``
+    has the cycle type of ``s_x``, ascending; ``None`` when the multisets of
+    cycle types differ, so that no isomorphism exists.
+
+    Each point's cycle type is computed once: the candidate lists are the
+    groups of one dict keyed by the target cycle types.
+    """
+    s_keys = [row_cycle_type(p.images) for p in source.s]
+    t_keys = [row_cycle_type(p.images) for p in target.s]
+    if sorted(s_keys) != sorted(t_keys):
+        return None
+    by_key: dict[tuple[int, ...], list[int]] = {}
+    for v, key in enumerate(t_keys):
+        by_key.setdefault(key, []).append(v)
+    return [by_key[key] for key in s_keys]
 
 
 def find_iso(source: Rack, target: Rack) -> Optional[Permutation]:
-    """A witness rack isomorphism, or ``None``.
+    """The lexicographically least rack isomorphism, or ``None``.
 
-    Fast-rejects on profile mismatch, then searches the bijections whose
-    point images match ``s_x`` cycle types.
+    Fast-rejects on order and on the multiset of ``s_x`` cycle types, then
+    searches the bijections that map each point to one of the same cycle
+    type.
     """
-    if source.n != target.n or profile(source) != profile(target):
+    if source.n != target.n:
         return None
-    candidates = _iso_candidates_by_cycle_type(source, target)
-    found = _search(source, target, candidates, injective=True, first=True)
+    candidates = _iso_candidates(source, target)
+    if candidates is None:
+        return None
+    found = _search(source, target, candidates, injective=True, limit=1)
     return Permutation(found[0]) if found else None
 
 
@@ -171,7 +187,7 @@ def is_isomorphic(source: Rack, target: Rack) -> bool:
 
 def aut_group(rack: Rack) -> SmallGroup:
     """All rack automorphisms, materialized as a :class:`SmallGroup`."""
-    autos = _search(rack, rack, injective=True, first=False)
+    autos = _search(rack, rack, injective=True)
     elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(rack.n, elements, elements)
 
@@ -190,29 +206,54 @@ def is_gl_hom(g1: GLRack, g2: GLRack, phi: Sequence[int]) -> bool:
 
 def enumerate_gl_homs(g1: GLRack, g2: GLRack) -> list[Map]:
     """All GL-rack homomorphisms from ``g1`` to ``g2``, lexicographic."""
-    return _search(g1.rack, g2.rack, injective=False, u=(g1.u, g2.u), first=False)
+    return _search(g1.rack, g2.rack, injective=False, u=(g1.u, g2.u))
 
 
 def find_gl_iso(g1: GLRack, g2: GLRack) -> Optional[Permutation]:
-    """A witness GL-rack isomorphism, or ``None``."""
+    """The lexicographically least GL-rack isomorphism, or ``None``.
+
+    Fast-rejects on order, on the cycle type of ``u`` and on the multiset
+    of ``s_x`` cycle types, then searches as :func:`find_iso` does.
+    """
     if g1.n != g2.n or g1.u.cycle_type() != g2.u.cycle_type():
         return None
-    candidates = _iso_candidates_by_cycle_type(g1.rack, g2.rack)
+    candidates = _iso_candidates(g1.rack, g2.rack)
+    if candidates is None:
+        return None
     found = _search(
-        g1.rack, g2.rack, candidates, injective=True, u=(g1.u, g2.u), first=True
+        g1.rack, g2.rack, candidates, injective=True, u=(g1.u, g2.u), limit=1
     )
     return Permutation(found[0]) if found else None
 
 
 def aut_glr(gl: GLRack) -> SmallGroup:
     """The GL-rack automorphism group, ``C_{Aut R}(u)``."""
-    autos = _search(gl.rack, gl.rack, injective=True, u=(gl.u, gl.u), first=False)
+    autos = _search(gl.rack, gl.rack, injective=True, u=(gl.u, gl.u))
     elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(gl.n, elements, elements)
 
 
 # ---------------------------------------------------------------------------
 # Hom racks
+
+
+def _bounded_homs(
+    source: Rack, target: Rack, u: Optional[tuple[Permutation, Permutation]] = None
+) -> list[Map]:
+    """The (GL-)homs of a hom rack's carrier, lexicographic.
+
+    Raises :class:`GroupTooLargeError` once there are more than
+    ``isqrt(GROUP_CAP)``, whose pointwise table would hold more than
+    ``GROUP_CAP`` entries; the search stops at the first hom past that.
+    """
+    bound = math.isqrt(perm.GROUP_CAP)
+    homs = _search(source, target, injective=False, u=u, limit=bound + 1)
+    if len(homs) > bound:
+        raise GroupTooLargeError(
+            f"hom rack exceeds cap: more than {bound} homs, so more than "
+            f"{perm.GROUP_CAP} table entries"
+        )
+    return homs
 
 
 def _pointwise_rack(source: Rack, target: Rack, homs: list[Map]) -> Rack:
@@ -244,11 +285,13 @@ def hom_rack(source: Rack, target: Rack) -> tuple[Rack, list[Map]]:
 
     Requires ``target`` medial.  The carrier is the hom list in lexicographic
     order; the structure is pointwise: ``t~_g(f)(x) = t_{g(x)}(f(x))``.
-    Returns the rack together with the carrier list.
+    Returns the rack together with the carrier list.  Raises
+    :class:`GroupTooLargeError` when the table would have more than
+    ``GROUP_CAP`` entries.
     """
     if not is_medial(target):
         raise ValueError("hom_rack requires a medial target rack")
-    homs = enumerate_homs(source, target)
+    homs = _bounded_homs(source, target)
     return _pointwise_rack(source, target, homs), homs
 
 
@@ -258,11 +301,12 @@ def hom_glrack(g1: GLRack, g2: GLRack) -> tuple[GLRack, list[Map]]:
     Requires ``g2``'s underlying rack medial.  The carrier is the GL-hom
     list in lexicographic order with the pointwise structure of
     :func:`hom_rack`, of whose rack it is a subrack; ``u`` acts by
-    postcomposition with ``u_2``.
+    postcomposition with ``u_2``.  Raises :class:`GroupTooLargeError` as
+    :func:`hom_rack` does.
     """
     if not is_medial(g2.rack):
         raise ValueError("hom_glrack requires a medial target rack")
-    gl_homs = enumerate_gl_homs(g1, g2)
+    gl_homs = _bounded_homs(g1.rack, g2.rack, (g1.u, g2.u))
     rack = _pointwise_rack(g1.rack, g2.rack, gl_homs)
     index = {phi: i for i, phi in enumerate(gl_homs)}
     u2 = g2.u.images

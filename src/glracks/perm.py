@@ -22,6 +22,7 @@ __all__ = [
     "GroupTooLargeError",
     "CycleParseError",
     "compose",
+    "row_cycle_type",
     "parse_cycles",
     "print_cycles",
     "closure",
@@ -122,9 +123,7 @@ class Permutation:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, sorted descending."""
-        lengths = [len(c) for c in self.cycles()]
-        fixed = self.degree - sum(lengths)
-        return tuple(sorted(lengths + [1] * fixed, reverse=True))
+        return row_cycle_type(self.images)
 
     def order(self) -> int:
         return math.lcm(1, *(len(c) for c in self.cycles()))
@@ -150,6 +149,28 @@ class Permutation:
 
     def __str__(self) -> str:
         return print_cycles(self)
+
+
+def row_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """The cycle type of the permutation with image array ``images``:
+    cycle lengths including fixed points, sorted descending.
+
+    One pass over the images; each cycle is walked once from its least
+    point, which is never revisited, so only the later points are marked.
+    """
+    seen = [False] * len(images)
+    lengths = []
+    for start, j in enumerate(images):
+        if seen[start]:
+            continue
+        length = 1
+        while j != start:
+            seen[j] = True
+            j = images[j]
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -420,6 +421,31 @@ class TestOtherCommands:
         code, out, _err = run(capsys, "hom", path, path, "--rack-structure")
         assert code == 0
         assert "n=9" in out
+
+    def test_hom_rack_over_the_cap_exits_2(self, capsys, tmp_path):
+        # 6**6 = 46,656 homs T_6 -> T_6: a table of about 2e9 entries
+        from glracks.racks import trivial_quandle
+
+        path = str(tmp_path / "t6.txt")
+        write_records(path, [StructureRecord(n=6, s=trivial_quandle(6).tables())])
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hom", path, path, "--rack-structure")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_hom_rack_needs_medial_target(self, capsys, tmp_path):
+        from glracks.perm import parse_cycles
+        from glracks.racks import check_rack
+
+        path = str(tmp_path / "nm.txt")
+        rack = check_rack(4, [parse_cycles(c, 4) for c in ["id", "(34)", "(24)", "(23)"]])
+        write_records(path, [StructureRecord(n=4, s=rack.tables())])
+        code, out, err = run(capsys, "hom", path, path, "--rack-structure")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_quotient(self, capsys, tmp_path):
         from glracks.racks import permutation_rack

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -20,15 +21,44 @@ from glracks.morphisms import (
     is_rack_hom,
     _pointwise_rack,
 )
-from glracks.perm import Permutation, centralizer, parse_cycles
+from glracks import perm
+from glracks.perm import GroupTooLargeError, Permutation, centralizer, parse_cycles
 from glracks.racks import (
     check_rack,
     dihedral,
     is_medial,
     is_quandle,
+    profile,
     takasaki,
     trivial_quandle,
 )
+
+
+def _relabel(rack, p):
+    """The rack whose ``s_{p(x)}`` is ``p s_x p^-1``: ``p`` is an
+    isomorphism onto it."""
+    pinv = p.inverse()
+    return check_rack(rack.n, [p * rack.s[pinv.images[x]] * pinv for x in range(rack.n)])
+
+
+def _relabel_gl(gl, p):
+    return check_gl(_relabel(gl.rack, p), p * gl.u * p.inverse())
+
+
+def _random_perm(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+def _least_iso(a, b, is_hom):
+    """Brute force over S_n: the lexicographically least isomorphism."""
+    if a.n != b.n:
+        return None
+    return next(
+        (phi for phi in itertools.permutations(range(a.n)) if is_hom(a, b, phi)),
+        None,
+    )
 
 
 class TestHoms:
@@ -93,6 +123,57 @@ class TestIsomorphism:
 
     def test_different_orders(self):
         assert find_iso(dihedral(3), dihedral(4)) is None
+
+
+class TestIsoWitnesses:
+    """``find_iso`` and ``find_gl_iso`` return exactly the lexicographically
+    least isomorphism, as brute force over ``S_n`` finds it."""
+
+    def test_find_iso_is_the_least_isomorphism(self, racks_by_order):
+        rng = random.Random(20)
+        racks = []
+        for n in range(5):
+            for rack in racks_by_order[n]:
+                racks += [rack, _relabel(rack, _random_perm(rng, n))]
+        found = 0
+        for a, b in itertools.product(racks, repeat=2):
+            expected = _least_iso(a, b, is_rack_hom)
+            phi = find_iso(a, b)
+            assert (phi.images if phi else None) == expected
+            found += expected is not None
+        assert found > len(racks)
+
+    def test_find_gl_iso_is_the_least_isomorphism(self, racks_by_order):
+        from glracks.classify import gl_classes
+
+        rng = random.Random(21)
+        for n in range(5):
+            reps = [
+                check_gl(rack, u)
+                for rack in racks_by_order[n]
+                for u, _size in gl_classes(rack)
+            ]
+            copies = [_relabel_gl(gl, _random_perm(rng, n)) for gl in reps]
+            for i, a in enumerate(reps):
+                for j, b in enumerate(reps + copies):
+                    expected = _least_iso(a, b, is_gl_hom)
+                    phi = find_gl_iso(a, b)
+                    assert (phi.images if phi else None) == expected
+                    # GL-class representatives are pairwise non-isomorphic
+                    assert (expected is not None) == (j % len(reps) == i)
+
+    def test_different_profiles_are_never_isomorphic(self, racks_by_order):
+        rng = random.Random(22)
+        racks = racks_by_order[5]
+        copies = [_relabel(rack, _random_perm(rng, 5)) for rack in racks]
+        profiles = [profile(rack) for rack in racks]
+        searched = 0
+        for (i, a), (j, b) in itertools.product(enumerate(racks), enumerate(copies)):
+            if profiles[i] != profiles[j]:
+                assert find_iso(a, b) is None
+                # equal s cycle types, so the search itself must say no
+                searched += profiles[i].s_cycle_types == profiles[j].s_cycle_types
+        assert searched > 0
 
 
 class TestAutGroups:
@@ -243,6 +324,19 @@ class TestHomRacks:
                 assert gl.u.images == tuple(
                     gl_homs.index(tuple(u2[v] for v in phi)) for phi in gl_homs
                 )
+
+    def test_hom_rack_over_the_cap_raises(self, monkeypatch):
+        # the 27 homs T_3 -> T_3 give a table of 27**2 entries
+        source = target = trivial_quandle(3)
+        assert len(hom_rack(source, target)[1]) == 27
+        monkeypatch.setattr(perm, "GROUP_CAP", 27**2)
+        assert len(hom_rack(source, target)[1]) == 27
+        monkeypatch.setattr(perm, "GROUP_CAP", 27**2 - 1)
+        with pytest.raises(GroupTooLargeError):
+            hom_rack(source, target)
+        gl = check_gl(source, Permutation.identity(3))
+        with pytest.raises(GroupTooLargeError):
+            hom_glrack(gl, gl)
 
     def test_pointwise_product_leaving_the_carrier_raises(self):
         # the identity and the constant map 0 of R_3: the product of the

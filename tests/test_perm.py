@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from glracks import perm
 from glracks.perm import (
@@ -16,6 +16,7 @@ from glracks.perm import (
     conjugation_orbits,
     parse_cycles,
     print_cycles,
+    row_cycle_type,
     symmetric_group,
 )
 
@@ -59,6 +60,18 @@ class TestPermutation:
     def test_cycle_type(self):
         assert parse_cycles("(123)(45)", 6).cycle_type() == (3, 2, 1)
         assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
+
+    @given(perms(max_degree=9))
+    @example(Permutation(()))
+    @example(Permutation.identity(1))
+    @example(Permutation.identity(9))
+    def test_row_cycle_type_matches_cycles(self, p):
+        # oracle: the cycle type read off the cycles() tuples
+        lengths = [len(c) for c in p.cycles()]
+        fixed = p.degree - sum(lengths)
+        expected = tuple(sorted(lengths + [1] * fixed, reverse=True))
+        assert row_cycle_type(p.images) == expected
+        assert p.cycle_type() == expected
 
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
