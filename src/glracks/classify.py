@@ -18,9 +18,15 @@ it in the same normal form.
 
 GL-structures on each rack are computed as the centralizer of the inner
 automorphism group inside the full automorphism group; isomorphism classes
-of GL-structures are conjugacy orbits under the automorphism group.  The
-naive filter of all of ``S_n`` is kept as a cross-check oracle; the tests
-also run the labeled search with every row open (the rack-first oracle) and
+of GL-structures are conjugacy orbits under the automorphism group.  Where
+``Aut R`` comes from depends on the path: an enumerated rack
+``R = G(Q, u)`` has ``theta_R = u``, so ``Aut R = C_{Aut Q}(u)`` is taken
+from the ``Aut Q`` of its quandle class (computed once per quandle), used
+to skip repeated relabelings in the canonical form, and moved onto the
+canonical table with it; a rack from an ingested library has no quandle
+stage, and its group comes from :func:`morphisms.aut_group`.  The naive
+filter of all of ``S_n`` is kept as a cross-check oracle; the tests also
+run the labeled search with every row open (the rack-first oracle) and
 dedupe it by sweeping all of ``S_n``.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
@@ -33,6 +39,7 @@ import contextlib
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Container, Iterator, Optional, Sequence
 
 from . import formats
@@ -143,8 +150,8 @@ def _key_centralizer(k: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _normal_relabelings(
-    flat: bytes, n: int
-) -> Iterator[tuple[list[int], list[int]]]:
+    flat: bytes, n: int, autos: Sequence[Sequence[int]] = ()
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Each relabeling ``p`` (old -> new label) that takes the flattened rack
     ``flat`` to a table whose rows ``0..k-1`` are the identity and whose row
     ``k`` is ``D``, with its inverse; just the identity when every row is.
@@ -157,20 +164,41 @@ def _normal_relabelings(
     ``{0..k-1}``, fixes ``k`` and commutes with ``D``.  The identity is the
     least row, so the lexicographically least relabeling of ``flat`` is
     one of these.
+
+    ``autos`` (image arrays of automorphisms of the rack, any subset of
+    ``Aut R``) are skipped over: ``p a`` gives the same table as ``p``.
+    For ``a`` in ``autos``, ``p_{a(b)} a = c p_b`` for some ``c`` above, so
+    one row ``b`` per orbit of ``autos`` is tried; and a relabeling already
+    met as ``p a``, for ``a`` in ``autos`` fixing ``b``, is not yielded
+    again.  With all of ``Aut R`` that is one relabeling per coset
+    ``p Aut R``, i.e. one per distinct table.
     """
     identity = bytes(range(n))
     rows = [flat[x * n : (x + 1) * n] for x in range(n)]
     ids = {x for x in range(n) if rows[x] == identity}
     if len(ids) == n:
-        yield list(identity), list(identity)
+        yield tuple(identity), list(identity)
         return
-    keyed = [_block_form(rows[b], ids, b) for b in range(n) if b not in ids]
-    d = min(key for key, _p in keyed)
-    for key, pb in keyed:
+    # keys are invariant under automorphisms, so one row per orbit suffices
+    reps = []
+    covered: set[int] = set()
+    for b in range(n):
+        if b not in ids and b not in covered:
+            reps.append(b)
+            covered.update(a[b] for a in autos)
+    keyed = [(b, *_block_form(rows[b], ids, b)) for b in reps]
+    d = min(key for _b, key, _p in keyed)
+    for b, key, pb in keyed:
         if key != d:
             continue
+        through_pb = itemgetter(*pb)  # c -> c p_b; n >= 2 here
+        stabilizer = [itemgetter(*a) for a in autos if a[b] == b]
+        seen: set[tuple[int, ...]] = set()
         for c in _key_centralizer(len(ids), d):
-            p = [c[v] for v in pb]
+            p = through_pb(c)
+            if p in seen:
+                continue
+            seen.update(then_p(p) for then_p in stabilizer)  # p a
             pinv = [0] * n
             for i, v in enumerate(p):
                 pinv[v] = i
@@ -332,18 +360,78 @@ def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[bytes]:
     return reps
 
 
-def _canonical(flat: bytes, n: int) -> bytes:
+def _canonical(
+    flat: bytes, n: int, autos: Sequence[Sequence[int]] = ()
+) -> tuple[bytes, tuple[int, ...], list[int]]:
     """The lexicographically least relabeling of a flattened rack, i.e.
-    ``min(_relabel(flat, n, p, p^-1) for p in S_n)``, taken over the
-    relabelings of :func:`_normal_relabelings` only."""
-    return min(
-        _relabel(flat, n, p, pinv) for p, pinv in _normal_relabelings(flat, n)
-    )
+    ``min(_relabel(flat, n, p, p^-1) for p in S_n)``, with a relabeling
+    ``p`` that gives it and ``p^-1``.
+
+    Taken over the relabelings of :func:`_normal_relabelings` only, skipping
+    those that the automorphisms ``autos`` show to repeat a table.  With all
+    of ``Aut R`` each distinct table is relabeled once; fewer automorphisms,
+    or none, give the same result with more work.
+    """
+    best = None
+    for p, pinv in _normal_relabelings(flat, n, autos):
+        table = _relabel(flat, n, p, pinv)
+        if best is None or table < best[0]:
+            best = (table, p, pinv)
+    return best
+
+
+def _transport(
+    autos: Sequence[Sequence[int]], p: Sequence[int], pinv: Sequence[int]
+) -> bytes:
+    """The automorphisms ``p a p^-1`` of the table relabeled by ``p``, in
+    ascending order, as one bytes of ``len(autos) * n`` images."""
+    return b"".join(sorted(bytes(p[a[j]] for j in pinv) for a in autos))
+
+
+def _group(n: int, images: bytes) -> SmallGroup:
+    """The group packed by :func:`_transport`, elements in the order
+    :func:`aut_group` gives them (ascending)."""
+    if n == 0:
+        elements = (Permutation.identity(0),)
+    else:
+        elements = tuple(
+            Permutation.unchecked(tuple(images[i : i + n]))
+            for i in range(0, len(images), n)
+        )
+    return SmallGroup(n, elements, elements)
 
 
 def _unflatten(flat: bytes, n: int) -> Rack:
     s = [tuple(flat[x * n : (x + 1) * n]) for x in range(n)]
     return check_rack(n, s)
+
+
+def _enumerate(n: int, long_run: bool) -> list[tuple[Rack, bytes]]:
+    """Each rack class of order ``n`` as its canonical table with its
+    automorphism group packed by :func:`_transport`, sorted by table.
+
+    ``R = G(Q, u)`` has ``F(R) = (Q, u)`` and ``theta_R = u``, so
+    ``Aut R = C_{Aut Q}(u)``: each rack's group is taken from its quandle's,
+    which serves both ``gl_classes(Q)`` and :func:`_canonical`, and is moved
+    onto the canonical table by the relabeling that gives it.
+    """
+    check_order(n, long_run)
+    found = []
+    for flat in _dedupe_by_orbits(_labeled_racks(n), n):
+        quandle = _unflatten(flat, n)
+        aut_q = aut_group(quandle)
+        for u, _size in gl_classes(quandle, aut_q):
+            untwisted = bytes(u.images[v] for v in flat)
+            autos = [a.images for a in centralizer(aut_q, [u]).elements]
+            canon, p, pinv = _canonical(untwisted, n, autos)
+            found.append((canon, _transport(autos, p, pinv)))
+    found.sort()
+    for (a, _), (b, _) in zip(found, found[1:]):
+        if a == b:
+            raise RuntimeError(
+                f"two GL-quandle classes untwist to isomorphic racks: {list(a)}"
+            )
+    return [(_unflatten(flat, n), aut) for flat, aut in found]
 
 
 def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
@@ -355,28 +443,17 @@ def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
     normal-form quandle tables, which hold the lex-least table of every
     class (:func:`_labeled_racks`), and an orbit dedupe over the
     relabelings that keep the normal form (:func:`_dedupe_by_orbits`); then
-    every class of GL-structures ``u`` on ``Q``
-    gives the rack ``G(Q, u)`` with rows ``u s_x``.  ``F`` and ``G`` are
-    inverse bijections between rack classes and GL-quandle classes, so
-    these racks are exhaustive and pairwise non-isomorphic; two equal
-    canonical forms would contradict that and raise ``RuntimeError``.
+    every class of GL-structures ``u`` on ``Q`` gives the rack ``G(Q, u)``
+    with rows ``u s_x``, brought to canonical form with the help of
+    ``Aut G(Q, u) = C_{Aut Q}(u)`` (see :func:`_enumerate`).  ``F`` and
+    ``G`` are inverse bijections between rack classes and GL-quandle
+    classes, so these racks are exhaustive and pairwise non-isomorphic; two
+    equal canonical forms would contradict that and raise ``RuntimeError``.
 
     Orders above 6 must be requested with ``long_run=True``; 8 is the
     supported maximum.
     """
-    check_order(n, long_run)
-    canon = []
-    for flat in _dedupe_by_orbits(_labeled_racks(n), n):
-        for u, _size in gl_classes(_unflatten(flat, n)):
-            untwisted = bytes(u.images[v] for v in flat)
-            canon.append(_canonical(untwisted, n))
-    canon.sort()
-    for a, b in zip(canon, canon[1:]):
-        if a == b:
-            raise RuntimeError(
-                f"two GL-quandle classes untwist to isomorphic racks: {list(a)}"
-            )
-    return [_unflatten(flat, n) for flat in canon]
+    return [rack for rack, _aut in _enumerate(n, long_run)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +529,13 @@ class ClassificationResult:
 
 
 def _classify_one_rack(
-    args: tuple[int, int, Rack]
+    args: tuple[int, int, Rack, Optional[bytes]]
 ) -> tuple[int, list[formats.StructureRecord], Optional[str]]:
-    n, rack_index, rack = args
+    """The records of one rack; its automorphisms come packed as by
+    :func:`_transport`, or, for ``None``, from :func:`aut_group`."""
+    n, rack_index, rack, aut_images = args
     try:
-        aut = aut_group(rack)
+        aut = aut_group(rack) if aut_images is None else _group(n, aut_images)
         classes = gl_classes(rack, aut)
         th = theta(rack)
         th_inv = th.inverse()
@@ -487,10 +566,13 @@ def classify_gl(
 ) -> ClassificationResult:
     """Classify all GL-racks of order ``n`` up to isomorphism.
 
-    ``racks`` defaults to :func:`enumerate_racks`; pass an ingested library
-    list to classify external data.  The global result has one record per
-    GL-rack isomorphism class because GL-isomorphic structures have
-    isomorphic underlying racks and the rack list holds one rack per class.
+    ``racks`` defaults to the racks of :func:`enumerate_racks`, each with
+    the automorphism group it is enumerated with (from its quandle's, see
+    :func:`_enumerate`); pass an ingested library list to classify external
+    data, and each rack's group is then found by :func:`aut_group`.  The
+    global result has one record per GL-rack isomorphism class because
+    GL-isomorphic structures have isomorphic underlying racks and the rack
+    list holds one rack per class.
     Per-rack failures are recorded as diagnostics and make the result
     non-exhaustive rather than aborting the whole run.
 
@@ -499,8 +581,11 @@ def classify_gl(
     finished racks (under any ``jobs``); a failed rack is not checkpointed.
     """
     if racks is None:
-        racks = enumerate_racks(n, long_run=long_run)
-    tasks = [(n, i, rack) for i, rack in enumerate(racks)]
+        enumerated: list[tuple[Rack, Optional[bytes]]] = _enumerate(n, long_run)
+        racks = [rack for rack, _aut in enumerated]
+    else:
+        enumerated = [(rack, None) for rack in racks]
+    tasks = [(n, i, rack, aut) for i, (rack, aut) in enumerate(enumerated)]
 
     records: list[formats.StructureRecord] = []
     diagnostics: list[str] = []
@@ -545,7 +630,8 @@ def count_report(
     long_run: bool = False,
     jobs: int = 1,
 ) -> CountReport:
-    """The eight per-order isomorphism counts."""
+    """The eight per-order isomorphism counts; the rack counts read each
+    rack's quandle and medial flags from its records."""
     if result is None:
         result = classify_gl(n, long_run=long_run, jobs=jobs)
     if not result.exhaustive:
@@ -554,8 +640,13 @@ def count_report(
             + "; ".join(result.diagnostics)
         )
     recs = result.records
-    rack_quandle = [is_quandle(r) for r in result.racks]
-    rack_medial = [is_medial(r) for r in result.racks]
+    # the quandle and medial flags are the rack's own, and every rack has
+    # a record (u = id)
+    by_rack: dict[int, GLFlags] = {rec.rack_index: rec.flags for rec in recs}
+    missing = [i for i in range(len(result.racks)) if i not in by_rack]
+    if missing:
+        raise RuntimeError(f"racks without a record: {missing}")
+    rack_flags = [by_rack[i] for i in range(len(result.racks))]
     return CountReport(
         n=n,
         g=len(recs),
@@ -563,7 +654,7 @@ def count_report(
         g_q=sum(1 for r in recs if r.flags.gl_quandle),
         g_qm=sum(1 for r in recs if r.flags.gl_quandle and r.flags.medial),
         r=len(result.racks),
-        r_m=sum(rack_medial),
-        r_q=sum(rack_quandle),
-        r_qm=sum(q and m for q, m in zip(rack_quandle, rack_medial)),
+        r_m=sum(f.medial for f in rack_flags),
+        r_q=sum(f.gl_quandle for f in rack_flags),
+        r_qm=sum(f.gl_quandle and f.medial for f in rack_flags),
     )

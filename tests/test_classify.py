@@ -14,8 +14,10 @@ from glracks.classify import (
     gl_structures,
     gl_structures_brute,
 )
+from glracks.functors import functor_g
 from glracks.glrack import check_gl
 from glracks.morphisms import aut_group, find_gl_iso, is_isomorphic
+from glracks.perm import centralizer
 from glracks.racks import check_rack, dihedral, is_medial, is_quandle
 
 from golden_tables import EXPECTED_COUNTS, RACK_COUNTS
@@ -89,6 +91,10 @@ def _rack_first(n):
     return tuple(classify._search([None] * n, [perms] * n))
 
 
+def _images(group):
+    return [a.images for a in group.elements]
+
+
 class TestQuandleFirst:
     def test_quandle_search_keeps_the_least_table_of_every_class(self):
         for n in range(7):
@@ -134,7 +140,13 @@ class TestQuandleFirst:
     def test_canonical_is_lex_least_relabeling_up_to_order_4(self):
         for n in range(5):
             for flat in _rack_first(n):
-                assert classify._canonical(flat, n) == _oracle_min(flat, n)
+                assert classify._canonical(flat, n)[0] == _oracle_min(flat, n)
+                # the same table with the automorphisms, and p gives it
+                autos = _images(aut_group(classify._unflatten(flat, n)))
+                table, p, pinv = classify._canonical(flat, n, autos)
+                assert table == _oracle_min(flat, n)
+                assert classify._relabel(flat, n, p, pinv) == table
+                assert [p[v] for v in pinv] == list(range(n))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_canonical_of_random_relabelings(self, n):
@@ -145,10 +157,21 @@ class TestQuandleFirst:
             flat = bytes(v for row in rack.tables() for v in row)
             if n == 5:
                 assert _oracle_min(flat, n) == flat
+            autos = _images(aut_group(rack))
             for _ in range(3):
                 p = list(range(n))
                 rng.shuffle(p)
-                assert classify._canonical(_relabeled(flat, n, p), n) == flat
+                assert classify._canonical(_relabeled(flat, n, p), n)[0] == flat
+                # with aut_group moved onto the relabeled table
+                relabeled = _relabeled(flat, n, p)
+                pinv = sorted(range(n), key=p.__getitem__)
+                moved = classify._group(n, classify._transport(autos, p, pinv))
+                relabeled_rack = classify._unflatten(relabeled, n)
+                assert moved.elements == aut_group(relabeled_rack).elements
+                moved = _images(moved)
+                table, q, qinv = classify._canonical(relabeled, n, moved)
+                assert table == flat
+                assert classify._relabel(relabeled, n, q, qinv) == flat
 
     @pytest.mark.parametrize("n", range(7))
     def test_enumeration_equals_rack_first_oracle(self, n):
@@ -158,9 +181,55 @@ class TestQuandleFirst:
 
     def test_equal_canonical_forms_raise(self, monkeypatch):
         real = classify.gl_classes
-        monkeypatch.setattr(classify, "gl_classes", lambda rack: real(rack) * 2)
+        monkeypatch.setattr(
+            classify, "gl_classes", lambda rack, aut=None: real(rack, aut) * 2
+        )
         with pytest.raises(RuntimeError):
             enumerate_racks(3)
+
+
+class TestCarriedAutomorphisms:
+    """``Aut G(Q, u) = C_{Aut Q}(u)``, carried through ``_canonical``."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_one_relabeling_per_automorphism_coset(self, n):
+        # the normal relabelings split into cosets p Aut R, one table each;
+        # with all of Aut R exactly one relabeling per coset is yielded
+        for rack in enumerate_racks(n):
+            flat = bytes(v for row in rack.tables() for v in row)
+            autos = _images(aut_group(rack))
+            every = list(classify._normal_relabelings(flat, n))
+            fewer = list(classify._normal_relabelings(flat, n, autos))
+            if flat == bytes(range(n)) * n:  # the trivial rack: identity only
+                assert fewer == every == [(tuple(range(n)), list(range(n)))]
+                continue
+            assert len(fewer) * len(autos) == len(every)
+            tables = {classify._relabel(flat, n, p, pinv) for p, pinv in fewer}
+            assert len(tables) == len(fewer)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_carried_group_is_aut_group(self, n):
+        for rack, aut in classify._enumerate(n, long_run=False):
+            assert classify._group(n, aut).elements == aut_group(rack).elements
+
+    def test_aut_of_untwist_centralizes_u(self):
+        # every u in U(Q), not only the class representatives
+        for n in range(6):
+            for flat in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
+                quandle = classify._unflatten(flat, n)
+                aut_q = aut_group(quandle)
+                for u in gl_structures(quandle, aut_q).elements:
+                    rack = functor_g(check_gl(quandle, u))
+                    assert (
+                        aut_group(rack).elements
+                        == centralizer(aut_q, [u]).elements
+                    )
+
+    def test_count_report_needs_a_record_per_rack(self):
+        result = classify_gl(3)
+        result.records = [r for r in result.records if r.rack_index != 2]
+        with pytest.raises(RuntimeError, match=r"\[2\]"):
+            count_report(3, result)
 
 
 class TestGLStructures:

@@ -12,6 +12,8 @@ from glracks.cli import main
 from glracks.formats import RecordFormatError, read_records, write_records, StructureRecord
 from glracks.racks import dihedral
 
+from test_acceptance import long_run_only
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -148,6 +150,22 @@ class TestClassify:
         assert code == 0
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == self.OUT_SHA256[n]
+
+    # sha256 of ``classify -n N --long-run --out`` for N = 7 and 8
+    LONG_OUT_SHA256 = {
+        7: "be88eaa1540a5b35a27778acab43df5c7647d7f9d32c80178b1dd5bc1c3a0b09",
+        8: "99ac3e0e91eac48a72717d6d5df2083ebfb49cccce5414685c95fe45638bb9e1",
+    }
+
+    @pytest.mark.parametrize("n", [7, pytest.param(8, marks=long_run_only)])
+    def test_long_run_out_file_bytes(self, capsys, tmp_path, n):
+        path = str(tmp_path / "cls.txt")
+        code, _out, _err = run(
+            capsys, "classify", "-n", str(n), "--long-run", "--out", path
+        )
+        assert code == 0
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.LONG_OUT_SHA256[n]
 
     def test_enumerate_racks_order_7_bytes(self, capsys, tmp_path):
         # ``racks-7.txt`` in perfbench/data/expected.json: 2080 canonical
@@ -360,19 +378,19 @@ class TestOtherCommands:
         assert out.strip() == "n=4 g=62 g_m=61 g_q=19 g_qm=18 r=19 r_m=18 r_q=7 r_qm=6"
 
     def test_count_not_exhaustive(self, capsys, monkeypatch):
-        # one rack's aut_group runs out of memory: classify and count both
+        # one rack's theta runs out of memory: classify and count both
         # exit 2 with the same non-exhaustive lines, and count prints none
         from glracks import classify
 
         failing = classify.enumerate_racks(3)[5]
-        real = classify.aut_group
+        real = classify.theta
 
-        def aut_group(rack):
+        def theta(rack):
             if rack == failing:
                 raise MemoryError("injected")
             return real(rack)
 
-        monkeypatch.setattr(classify, "aut_group", aut_group)
+        monkeypatch.setattr(classify, "theta", theta)
         code, _out, classify_err = run(capsys, "classify", "-n", "3")
         assert code == 2
         assert classify_err.splitlines() == ["non-exhaustive: rack 5: injected"]
