@@ -372,12 +372,11 @@ def _canonical(
     of ``Aut R`` each distinct table is relabeled once; fewer automorphisms,
     or none, give the same result with more work.
     """
-    best = None
-    for p, pinv in _normal_relabelings(flat, n, autos):
-        table = _relabel(flat, n, p, pinv)
-        if best is None or table < best[0]:
-            best = (table, p, pinv)
-    return best
+    relabeled = (
+        (_relabel(flat, n, p, pinv), p, pinv)
+        for p, pinv in _normal_relabelings(flat, n, autos)
+    )
+    return min(relabeled, key=itemgetter(0))
 
 
 def _transport(
