@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .perm import Permutation
+from .perm import Permutation, _row_getter
 from .racks import Rack, RackError, is_medial, is_quandle, theta
 
 __all__ = [
@@ -76,9 +76,12 @@ def check_gl(rack: Rack, u: Permutation) -> GLRack:
         raise GLRackError(f"u has degree {u.degree}, rack has order {rack.n}")
     ui = u.images
     rows = rack.tables()
-    # the rows of u s_x and s_x u, each built in C
-    u_s = [itemgetter(*rx)(ui) for rx in rows]
-    s_u = [itemgetter(*ui)(rx) for rx in rows]
+    # the rows of u s_x and s_x u, each built in C by a getter: one per row
+    # for u s_x, and for s_x u the one getter of u; below two points u is
+    # the identity, so u s_x is s_x
+    then_u = _row_getter(ui)
+    u_s = [itemgetter(*rx)(ui) for rx in rows] if rack.n > 1 else rows
+    s_u = [then_u(rx) for rx in rows]
     for x, row in enumerate(u_s):
         if row != s_u[ui[x]]:
             raise NotAutomorphismError(x)

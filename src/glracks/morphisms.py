@@ -6,6 +6,12 @@ backtracking search ``_search``: it assigns points in index order and
 checks each constraint ``phi(s_a(b)) = t_phi(a)(phi(b))`` (and, for
 GL-racks, ``phi u_1 = u_2 phi``) as soon as all its points are assigned,
 whichever of them comes last, so every map it returns is a homomorphism.
+Which constraints each step checks depends only on the source rack, so
+that schedule is built once per :class:`~glracks.racks.Rack` and kept on
+it, as are the row cycle types that ``find_iso`` and ``find_gl_iso``
+compare.  ``aut_group`` and ``aut_glr`` build the schedule without keeping
+it: ``classify`` calls them once per rack and holds every rack until its
+records are written, so a kept schedule would only take memory.
 ``hom_rack`` and ``hom_glrack`` put one pointwise structure
 (``_pointwise_rack``) on the hom set it returns, and refuse a hom set whose
 table would exceed ``perm.GROUP_CAP`` entries before building it.  The
@@ -21,8 +27,8 @@ from typing import Callable, Optional, Sequence
 
 from . import perm
 from .glrack import GLRack, check_gl
-from .perm import GroupTooLargeError, Permutation, SmallGroup, row_cycle_type
-from .racks import Rack, check_rack, is_medial, is_quandle
+from .perm import GroupTooLargeError, Permutation, SmallGroup
+from .racks import Rack, _schedule, check_rack, is_medial, is_quandle
 
 __all__ = [
     "is_rack_hom",
@@ -67,6 +73,7 @@ def _search(
     injective: bool,
     u: Optional[tuple[Permutation, Permutation]] = None,
     limit: Optional[int] = None,
+    store: bool = True,
 ) -> list[Map]:
     """The one backtracking search behind every hom, iso and Aut query,
     plain or GL.
@@ -80,16 +87,17 @@ def _search(
     the same way.  ``injective`` restricts to injective maps and ``limit``
     stops once that many results are found; otherwise the search is
     exhaustive.
+
+    The rack constraints come grouped by their last point from the source
+    rack's ``_checks``, built on its first search and kept on it; with
+    ``store=False`` they are built for this search alone.
     """
     n, m = source.n, target.n
     if candidates is None:
         candidates = [range(m)] * n
     t_rows = target.tables()
     # checks[x]: the constraints whose last-assigned point is x
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a, row in enumerate(source.tables()):
-        for b, c in enumerate(row):
-            checks[max(a, b, c)].append((a, b, c))
+    checks = source._checks if store else _schedule(source.tables())
     u_checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     u2: Sequence[int] = ()
     if u is not None:
@@ -152,11 +160,11 @@ def _iso_candidates(source: Rack, target: Rack) -> Optional[list[list[int]]]:
     has the cycle type of ``s_x``, ascending; ``None`` when the multisets of
     cycle types differ, so that no isomorphism exists.
 
-    Each point's cycle type is computed once: the candidate lists are the
-    groups of one dict keyed by the target cycle types.
+    Each rack's row cycle types are computed once and kept on it: the
+    candidate lists are the groups of one dict keyed by the target types.
     """
-    s_keys = [row_cycle_type(p.images) for p in source.s]
-    t_keys = [row_cycle_type(p.images) for p in target.s]
+    s_keys = source._row_types
+    t_keys = target._row_types
     if sorted(s_keys) != sorted(t_keys):
         return None
     by_key: dict[tuple[int, ...], list[int]] = {}
@@ -187,7 +195,7 @@ def is_isomorphic(source: Rack, target: Rack) -> bool:
 
 def aut_group(rack: Rack) -> SmallGroup:
     """All rack automorphisms, materialized as a :class:`SmallGroup`."""
-    autos = _search(rack, rack, injective=True)
+    autos = _search(rack, rack, injective=True, store=False)
     elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(rack.n, elements, elements)
 
@@ -228,7 +236,7 @@ def find_gl_iso(g1: GLRack, g2: GLRack) -> Optional[Permutation]:
 
 def aut_glr(gl: GLRack) -> SmallGroup:
     """The GL-rack automorphism group, ``C_{Aut R}(u)``."""
-    autos = _search(gl.rack, gl.rack, injective=True, u=(gl.u, gl.u))
+    autos = _search(gl.rack, gl.rack, injective=True, u=(gl.u, gl.u), store=False)
     elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(gl.n, elements, elements)
 

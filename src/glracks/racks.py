@@ -9,6 +9,7 @@ A rack is a finite carrier ``{0, ..., n-1}`` together with one permutation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -17,6 +18,7 @@ from .perm import (
     Permutation,
     SmallGroup,
     closure,
+    row_cycle_type,
 )
 
 __all__ = [
@@ -62,6 +64,27 @@ class SelfDistributivityError(RackError):
         super().__init__(f"self-distributivity fails at (x={x}, y={y}): s_x s_y != s_(s_x(y)) s_x")
 
 
+_Schedule = tuple[tuple[tuple[int, int, int], ...], ...]
+
+# One tuple per value for the small tuples that racks keep: schedule
+# triples (at most n^3 of order n), cycle types, and schedule steps, which
+# repeat across racks and relabelings; so a kept schedule is mostly
+# pointers.  The table only grows, by the new steps of each rack that keeps
+# a schedule.
+_SHARED: dict[tuple, tuple] = {}
+
+
+def _schedule(rows: Sequence[Sequence[int]]) -> _Schedule:
+    """``checks[x]``: the triples ``(a, b, s_a(b))`` whose largest point is
+    ``x``, in row order.  ``morphisms._search`` checks each one at the step
+    that assigns its largest point."""
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in rows]
+    for a, row in enumerate(rows):
+        for b, c in enumerate(row):
+            checks[max(a, b, c)].append((a, b, c))
+    return tuple(map(tuple, checks))
+
+
 @dataclass(frozen=True)
 class Rack:
     """A validated finite rack.  Construct via :func:`check_rack`."""
@@ -72,6 +95,24 @@ class Rack:
     def tables(self) -> tuple[tuple[int, ...], ...]:
         """The image arrays of the ``s_x``, row ``x`` being ``s[x].images``."""
         return tuple(p.images for p in self.s)
+
+    # Derived data, built on first use and then kept on the instance:
+    # ``cached_property`` writes to ``__dict__``, which the frozen dataclass
+    # allows, and equality and hashing read only ``n`` and ``s``.
+
+    @cached_property
+    def _checks(self) -> _Schedule:
+        """The search schedule of ``morphisms._search`` from this rack
+        (see :func:`_schedule`), made of shared steps and triples."""
+        share = _SHARED.setdefault
+        steps = (tuple(share(t, t) for t in step) for step in _schedule(self.tables()))
+        return tuple(share(step, step) for step in steps)
+
+    @cached_property
+    def _row_types(self) -> tuple[tuple[int, ...], ...]:
+        """The cycle type of each ``s_x``, in row order."""
+        share = _SHARED.setdefault
+        return tuple(share(t, t) for t in map(row_cycle_type, self.tables()))
 
     def __repr__(self) -> str:
         return f"Rack(n={self.n}, s={[str(p) for p in self.s]})"

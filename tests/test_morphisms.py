@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -21,9 +22,10 @@ from glracks.morphisms import (
     is_rack_hom,
     _pointwise_rack,
 )
-from glracks import perm
+from glracks import classify, perm
 from glracks.perm import GroupTooLargeError, Permutation, centralizer, parse_cycles
 from glracks.racks import (
+    _SHARED,
     check_rack,
     dihedral,
     is_medial,
@@ -174,6 +176,95 @@ class TestIsoWitnesses:
                 # equal s cycle types, so the search itself must say no
                 searched += profiles[i].s_cycle_types == profiles[j].s_cycle_types
         assert searched > 0
+
+
+def _fresh(rack):
+    """An equal rack with nothing cached on it."""
+    return check_rack(rack.n, rack.s)
+
+
+def _schedule_oracle(rack):
+    """The search schedule rebuilt the direct way: each ``(a, b, s_a(b))``
+    under its largest point, in row order."""
+    checks = [[] for _ in range(rack.n)]
+    for a in range(rack.n):
+        for b in range(rack.n):
+            c = rack.s[a].images[b]
+            checks[max(a, b, c)].append((a, b, c))
+    return tuple(map(tuple, checks))
+
+
+def _cache_cases(racks_by_order):
+    """Every rack of order at most 5 and seeded relabeled order-6 racks."""
+    rng = random.Random(23)
+    cases = [rack for n in range(6) for rack in racks_by_order[n]]
+    sixes = rng.sample(classify.enumerate_racks(6), 40)
+    return cases + [_relabel(rack, _random_perm(rng, 6)) for rack in sixes]
+
+
+class TestSearchCache:
+    """Each rack keeps its search schedule and row cycle types once built;
+    what it keeps must equal a fresh build and depend on nothing else."""
+
+    def test_cached_data_equals_a_fresh_build(self, racks_by_order):
+        for rack in _cache_cases(racks_by_order):
+            copy = _fresh(rack)
+            assert copy._checks == _schedule_oracle(rack)
+            assert copy._row_types == tuple(p.cycle_type() for p in rack.s)
+            # built once: a second read is the same object
+            assert copy._checks is copy._checks
+            assert copy._row_types is copy._row_types
+            # the schedule holds only shared steps and triples
+            for step in copy._checks:
+                assert _SHARED[step] is step
+                assert all(_SHARED[t] is t for t in step)
+
+    def test_shuffled_queries_match_fresh_copies(self, racks_by_order):
+        rng = random.Random(24)
+        queries = []
+        for n in (3, 4):
+            pool = racks_by_order[n] + [
+                _relabel(rack, _random_perm(rng, n)) for rack in racks_by_order[n]
+            ]
+            gls = [
+                check_gl(rack, u)
+                for rack in pool
+                for u, _size in classify.gl_classes(rack)
+            ]
+            for a, b in itertools.product(pool, repeat=2):
+                queries += [(find_iso, a, b), (enumerate_homs, a, b)]
+            for a, b in itertools.product(gls, repeat=2):
+                if a.u.cycle_type() == b.u.cycle_type():
+                    queries.append((find_gl_iso, a, b))
+        rng.shuffle(queries)
+        for query, a, b in queries:
+            if query is find_gl_iso:
+                fresh = find_gl_iso(
+                    check_gl(_fresh(a.rack), a.u), check_gl(_fresh(b.rack), b.u)
+                )
+            else:
+                fresh = query(_fresh(a), _fresh(b))
+            assert query(a, b) == fresh
+
+    def test_aut_group_and_aut_glr_store_nothing(self, small_racks):
+        for _n, rack in small_racks:
+            copy = _fresh(rack)
+            aut = aut_group(copy)
+            for u in classify.gl_structures(copy, aut).elements:
+                aut_glr(check_gl(copy, u))
+            assert set(vars(copy)) == {"n", "s"}
+
+    def test_filled_cache_keeps_equality_hash_and_pickling(self, racks_by_order):
+        for rack in _cache_cases(racks_by_order):
+            filled = _fresh(rack)
+            assert find_iso(filled, rack) == Permutation.identity(rack.n)
+            assert {"_checks", "_row_types"} <= set(vars(filled))
+            assert filled == rack and hash(filled) == hash(rack)
+            loaded = pickle.loads(pickle.dumps(filled))
+            assert loaded == rack and hash(loaded) == hash(rack)
+            assert loaded._checks == _schedule_oracle(rack)
+            assert loaded._row_types == filled._row_types
+            assert find_iso(loaded, filled) == Permutation.identity(rack.n)
 
 
 class TestAutGroups:
