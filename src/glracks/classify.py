@@ -30,7 +30,10 @@ run the labeled search with every row open (the rack-first oracle) and
 dedupe it by sweeping all of ``S_n``.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
-results files and checkpoints hold, so records go to disk as they are.
+results files and checkpoints hold, so records go to disk as they are; the
+records of a rack come from :func:`formats.gl_records`, which derives each
+class's down map and flags.  A rack that runs out of memory is reported as
+a diagnostic, and the result is then not exhaustive.
 """
 
 from __future__ import annotations
@@ -43,17 +46,16 @@ from operator import itemgetter
 from typing import Container, Iterator, Optional, Sequence
 
 from . import formats
-from .glrack import GLFlags, check_gl, flags, is_gl_structure
+from .glrack import GLFlags, is_gl_structure
 from .morphisms import aut_group
 from .perm import (
-    GroupTooLargeError,
     Permutation,
     SmallGroup,
     centralizer,
     conjugation_orbits,
     symmetric_group,
 )
-from .racks import Rack, check_rack, is_medial, is_quandle, theta
+from .racks import Rack, check_rack
 
 __all__ = [
     "CountReport",
@@ -535,23 +537,9 @@ def _classify_one_rack(
     n, rack_index, rack, aut_images = args
     try:
         aut = aut_group(rack) if aut_images is None else _group(n, aut_images)
-        classes = gl_classes(rack, aut)
-        th = theta(rack)
-        th_inv = th.inverse()
-        s = rack.tables()
-        quandle = is_quandle(rack)
-        medial = is_medial(rack)
-        records = []
-        for u, _size in classes:
-            check_gl(rack, u)
-            u_inv = u.inverse()
-            fl = GLFlags(gl_quandle=quandle, medial=medial, legendrian=th == u_inv * u_inv)
-            d = th_inv * u_inv
-            records.append(
-                formats.StructureRecord(n, s, u.images, d.images, fl, rack_index)
-            )
-        return rack_index, records, None
-    except (GroupTooLargeError, MemoryError) as exc:
+        us = [u for u, _size in gl_classes(rack, aut)]
+        return rack_index, formats.gl_records(rack, us, rack_index), None
+    except MemoryError as exc:
         return rack_index, [], f"rack {rack_index}: {exc}"
 
 

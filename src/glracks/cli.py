@@ -14,10 +14,10 @@ from . import classify as _classify
 from . import formats
 from .formats import StructureRecord, RecordFormatError
 from .functors import functor_f, functor_g
-from .glrack import down_map, flags
+from .glrack import check_gl
 from .morphisms import aut_group, enumerate_homs, hom_rack
-from .perm import GroupTooLargeError, print_cycles
-from .racks import RackError, associated_quandle, inn_group, medialization
+from .perm import GroupTooLargeError, Permutation, print_cycles
+from .racks import Rack, RackError, associated_quandle, inn_group, medialization
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -25,11 +25,10 @@ EXIT_NONEXHAUSTIVE = 2
 EXIT_IO = 3
 
 
-def _load_records(path: str) -> tuple[list[StructureRecord], formats._RackTables]:
-    """The records of ``path``, and the racks that reading them checked."""
-    tables = formats._RackTables()
+def _load_records(path: str) -> list[tuple[StructureRecord, Rack]]:
+    """The records of ``path``, each with the rack that reading it checked."""
     try:
-        return formats.read_records(path, tables), tables
+        return formats.read_racks(path)
     except OSError as exc:
         raise SystemExit(_fail(str(exc), EXIT_IO))
     except RecordFormatError as exc:
@@ -135,9 +134,7 @@ def cmd_enumerate_racks(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    records, tables = _load_records(args.file)
-    for rec in records:
-        rack = rec.rack(tables)
+    for rec, rack in _load_records(args.file):
         aut = aut_group(rack)
         inn = inn_group(rack)
         print(f"n={rec.n} |Aut|={aut.order} |Inn|={inn.order}")
@@ -145,9 +142,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_glstructures(args) -> int:
-    records, tables = _load_records(args.file)
-    for rec in records:
-        rack = rec.rack(tables)
+    for rec, rack in _load_records(args.file):
         aut = aut_group(rack)
         structures = _classify.gl_structures(rack, aut)
         classes = _classify.gl_classes(rack, aut)
@@ -160,36 +155,26 @@ def cmd_glstructures(args) -> int:
 
 def cmd_functor(args) -> int:
     out_records = []
-    records, tables = _load_records(args.file)
-    for rec in records:
+    for rec, rack in _load_records(args.file):
         if args.direction == "f":
-            gl = functor_f(rec.rack(tables))
-            out_records.append(
-                StructureRecord(
-                    n=gl.n,
-                    s=gl.rack.tables(),
-                    u=gl.u.images,
-                    d=down_map(gl).images,
-                    flags=flags(gl),
-                )
-            )
+            gl = functor_f(rack)
+            out_records.extend(formats.gl_records(gl.rack, [gl.u]))
         else:
-            gl = rec.glrack(tables)
-            if gl is None:
+            if rec.u is None:
                 return _fail("functor g requires records with a u field", EXIT_INVALID)
-            rack = functor_g(gl)
+            rack = functor_g(check_gl(rack, Permutation(rec.u)))
             out_records.append(StructureRecord(n=rack.n, s=rack.tables()))
     _emit_records(out_records, args.out, args.table)
     return EXIT_OK
 
 
 def cmd_hom(args) -> int:
-    source_recs, source_tables = _load_records(args.source)
-    target_recs, target_tables = _load_records(args.target)
-    if len(source_recs) != 1 or len(target_recs) != 1:
+    sources = _load_records(args.source)
+    targets = _load_records(args.target)
+    if len(sources) != 1 or len(targets) != 1:
         return _fail("hom expects exactly one structure per file", EXIT_INVALID)
-    source = source_recs[0].rack(source_tables)
-    target = target_recs[0].rack(target_tables)
+    [(_rec, source)] = sources
+    [(_rec, target)] = targets
     if args.rack_structure:
         try:
             rack, homs = hom_rack(source, target)
@@ -211,9 +196,7 @@ def cmd_hom(args) -> int:
 
 def cmd_quotient(args) -> int:
     out_records = []
-    records, tables = _load_records(args.file)
-    for rec in records:
-        rack = rec.rack(tables)
+    for _rec, rack in _load_records(args.file):
         if args.kind == "assoc":
             quotient, proj = associated_quandle(rack)
         else:

@@ -3,6 +3,14 @@ rack-library interchange syntax.
 
 All files are line-oriented text.  Image arrays are written 1-based to match
 printed tables; internal representation stays 0-based.
+
+Every GL record is made by one builder, :func:`gl_records`: it checks ``u``
+and derives the down map ``d = theta^-1 u^-1`` and the flags (Legendrian,
+``theta = u^-2``, exactly when ``d = u``) from the table's cached
+``theta^-1``, quandle and medial checks.  A read checks each stored record
+against the same builder, and keeps its per-read work (each distinct
+``s=`` text parsed once, each distinct table checked once) inside this
+module; :func:`read_racks` hands each record over with its checked rack.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .racks import Rack, RackError, check_rack, is_medial, is_quandle, theta
 
 __all__ = [
     "StructureRecord",
+    "gl_records",
     "RecordFormatError",
     "EncodingError",
     "BracketParseError",
@@ -28,6 +37,7 @@ __all__ = [
     "format_record_lines",
     "scan_records",
     "read_records",
+    "read_racks",
     "write_records",
     "format_record_table",
     "checkpoint_header",
@@ -56,15 +66,21 @@ def _read_lines(path: str) -> list[str]:
 
 
 class _Table:
-    """The checks of one rack table ``(n, s)``: ``check_rack`` (its rack,
-    or the error it raised), and ``theta^-1`` and ``is_quandle`` and
-    ``is_medial``, each made when first asked for."""
+    """One rack table ``(n, s)`` with the checks made on it: ``check_rack``
+    (its rack, or the error it raised; a rack already checked is taken as
+    it is), and ``theta^-1`` and ``is_quandle`` and ``is_medial``, each made
+    when first asked for.  :meth:`record` builds the record of a
+    GL-structure on the table, and :meth:`validate` checks a stored one."""
 
-    def __init__(self, n: int, s) -> None:
-        try:
-            self._rack = check_rack(n, s)
-        except RackError as exc:
-            self._rack = exc
+    def __init__(self, n: int, s, rack: Optional[Rack] = None) -> None:
+        self.n = n
+        self.s = s
+        if rack is None:
+            try:
+                rack = check_rack(n, s)
+            except RackError as exc:
+                rack = exc
+        self._rack = rack
 
     @property
     def rack(self) -> Rack:
@@ -79,6 +95,45 @@ class _Table:
     @cached_property
     def quandle_medial(self) -> tuple[bool, bool]:
         return is_quandle(self.rack), is_medial(self.rack)
+
+    def record(
+        self, u: Permutation, rack_index: Optional[int] = None
+    ) -> StructureRecord:
+        """The record of the GL-structure ``u`` (checked by :func:`check_gl`):
+        its down map ``d = theta^-1 u^-1`` and its flags."""
+        check_gl(self.rack, u)
+        d = self.theta_inv * u.inverse()
+        quandle, medial = self.quandle_medial
+        # Legendrian, theta = u^-2, exactly when the down map is u
+        fl = GLFlags(quandle, medial, d == u)
+        return StructureRecord(self.n, self.s, u.images, d.images, fl, rack_index)
+
+    def validate(self, record: StructureRecord) -> None:
+        """Check ``record``, a record of this table, against :meth:`record`."""
+        self.rack  # raises for a table that is not a rack
+        if record.u is not None:
+            built = self.record(Permutation(record.u))
+            if record.d is not None and built.d != tuple(record.d):
+                raise RecordFormatError(
+                    f"stored d {_one_based(record.d)} != derived down map "
+                    f"{_one_based(built.d)}"
+                )
+            if record.flags is not None and built.flags != record.flags:
+                raise RecordFormatError("stored flags disagree with recomputation")
+        elif record.d is not None:
+            raise RecordFormatError("d present without u")
+        elif record.flags is not None:
+            raise RecordFormatError("flags present without u")
+
+
+def gl_records(
+    rack: Rack, us: Iterable[Permutation], rack_index: Optional[int] = None
+) -> list[StructureRecord]:
+    """The record of each GL-structure in ``us`` on the checked ``rack``
+    (``check_rack`` is not run again), with ``d`` and the flags derived;
+    :class:`glracks.glrack.GLRackError` for a ``u`` that is not one."""
+    table = _Table(rack.n, rack.tables(), rack)
+    return [table.record(u, rack_index) for u in us]
 
 
 class _RackTables:
@@ -108,18 +163,10 @@ class _RackTables:
         return found
 
     def table(self, n: int, s) -> _Table:
-        key = (n, s)
-        try:
-            found = self._tables.get(key)
-        except TypeError:  # rows given as lists
-            key = (n, tuple(map(tuple, s)))
-            found = self._tables.get(key)
+        found = self._tables.get((n, s))
         if found is None:
-            found = self._tables[key] = _Table(n, s)
+            found = self._tables[n, s] = _Table(n, s)
         return found
-
-    def rack(self, n: int, s) -> Rack:
-        return self.table(n, s).rack
 
 
 @dataclass(frozen=True)
@@ -139,46 +186,18 @@ class StructureRecord:
     flags: Optional[GLFlags] = None
     rack_index: Optional[int] = None
 
-    def rack(self, tables: Optional[_RackTables] = None) -> Rack:
-        """The checked rack; ``tables`` holds the racks of one file read."""
-        if tables is None:
-            tables = _RackTables()
-        return tables.rack(self.n, self.s)
+    def rack(self) -> Rack:
+        """The checked rack."""
+        return check_rack(self.n, self.s)
 
-    def glrack(self, tables: Optional[_RackTables] = None) -> Optional[GLRack]:
+    def glrack(self) -> Optional[GLRack]:
         if self.u is None:
             return None
-        return check_gl(self.rack(tables), Permutation(self.u))
+        return check_gl(self.rack(), Permutation(self.u))
 
-    def validate(self, tables: Optional[_RackTables] = None) -> None:
-        """Full cross-check; raises on any inconsistency.
-
-        ``tables`` holds the rack-level checks already made on other
-        records of the same file read; ``u``, ``d`` and the flags are
-        checked on every call.
-        """
-        if tables is None:
-            tables = _RackTables()
-        table = tables.table(self.n, self.s)
-        rack = table.rack
-        if self.u is not None:
-            u = Permutation(self.u)
-            check_gl(rack, u)
-            derived = table.theta_inv * u.inverse()  # the down map
-            if self.d is not None and derived.images != tuple(self.d):
-                raise RecordFormatError(
-                    f"stored d {_one_based(self.d)} != derived down map "
-                    f"{_one_based(derived.images)}"
-                )
-            if self.flags is not None:
-                quandle, medial = table.quandle_medial
-                # Legendrian, theta = u^-2, exactly when the down map is u
-                if GLFlags(quandle, medial, derived == u) != self.flags:
-                    raise RecordFormatError("stored flags disagree with recomputation")
-        elif self.d is not None:
-            raise RecordFormatError("d present without u")
-        elif self.flags is not None:
-            raise RecordFormatError("flags present without u")
+    def validate(self) -> None:
+        """Full cross-check; raises on any inconsistency."""
+        _Table(self.n, self.s).validate(self)
 
 
 def _one_based(images: Sequence[int]) -> str:
@@ -205,9 +224,15 @@ def _parse_table(n: int, text: str) -> tuple[tuple[int, ...], ...]:
 _BOOL = {"0": False, "1": True, "true": True, "false": False}
 
 
-def parse_record_line(line: str, tables: Optional[_RackTables] = None) -> StructureRecord:
-    """The record of one line.  ``tables`` holds the ``s=`` texts already
-    parsed in the same file read; the other fields are parsed every time."""
+def parse_record_line(line: str) -> StructureRecord:
+    """The record of one line, not yet validated."""
+    return _parse_line(line, _RackTables())
+
+
+def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
+    """The record of one line; ``tables`` holds the ``s=`` texts already
+    parsed in the same file read, and the other fields are parsed every
+    time."""
     fields: dict[str, str] = {}
     for token in line.split():
         if "=" not in token:
@@ -222,8 +247,6 @@ def parse_record_line(line: str, tables: Optional[_RackTables] = None) -> Struct
         n = int(fields.pop("n"))
     except ValueError as exc:
         raise RecordFormatError("bad n field") from exc
-    if tables is None:
-        tables = _RackTables()
     s = tables.parse(n, fields.pop("s"))
     u = _parse_images(fields.pop("u"), n, "u") if "u" in fields else None
     d = _parse_images(fields.pop("d"), n, "d") if "d" in fields else None
@@ -290,18 +313,16 @@ def _format_line(record: StructureRecord, s_text: str) -> str:
     return " ".join(parts)
 
 
-def scan_records(
-    path: str, tables: Optional[_RackTables] = None
-) -> Iterator[tuple[int, StructureRecord | ValueError]]:
+def scan_records(path: str) -> Iterator[tuple[int, StructureRecord | ValueError]]:
     """``(lineno, record)`` for each record line of ``path``, or
     ``(lineno, error)`` for one that does not parse or validate.
 
     The whole file is read before this returns, so ``OSError``, or
     :class:`EncodingError` when it is not UTF-8, comes before any line.
-    Each distinct rack table is parsed and checked once per call, into
-    ``tables`` when given; ``u``, ``d`` and the flags once per record.
+    Each distinct rack table is parsed and checked once per call; ``u``,
+    ``d`` and the flags once per record.
     """
-    return _scan_lines(_read_lines(path), _RackTables() if tables is None else tables)
+    return _scan_lines(_read_lines(path), _RackTables())
 
 
 def _scan_lines(lines: list[str], tables: _RackTables):
@@ -310,25 +331,30 @@ def _scan_lines(lines: list[str], tables: _RackTables):
         if not line or line.startswith("#") or line.startswith("watermark"):
             continue
         try:
-            found = parse_record_line(line, tables)
-            found.validate(tables)
+            found = _parse_line(line, tables)
+            tables.table(found.n, found.s).validate(found)
         except (RecordFormatError, RackError, ValueError) as exc:
             found = exc
         yield lineno, found
 
 
-def read_records(
-    path: str, tables: Optional[_RackTables] = None
-) -> list[StructureRecord]:
+def read_records(path: str) -> list[StructureRecord]:
     """The records of ``path``; :class:`RecordFormatError` names the
     ``path:line`` of the first bad one.  The records of one table share
-    one ``s``; ``tables`` keeps their checked racks for the caller."""
-    records = []
-    for lineno, found in scan_records(path, tables):
+    one ``s``."""
+    return [record for record, _rack in read_racks(path)]
+
+
+def read_racks(path: str) -> list[tuple[StructureRecord, Rack]]:
+    """Each record of ``path`` with its checked rack, as :func:`read_records`
+    reads them; the records of one table share one ``s`` and one rack."""
+    tables = _RackTables()
+    pairs = []
+    for lineno, found in _scan_lines(_read_lines(path), tables):
         if isinstance(found, ValueError):
             raise RecordFormatError(f"{path}:{lineno}: {found}") from found
-        records.append(found)
-    return records
+        pairs.append((found, tables.table(found.n, found.s).rack))
+    return pairs
 
 
 def write_records(path: str, records: Iterable[StructureRecord]) -> None:
@@ -365,8 +391,7 @@ def checkpoint_header(racks: Sequence[Rack]) -> str:
     and a sha256 of their tables, in list order."""
     digest = hashlib.sha256()
     for rack in racks:
-        rows = ";".join(_one_based(row) for row in rack.tables())
-        digest.update(f"s={rows}\n".encode())
+        digest.update(f"s={_format_table(rack.tables())}\n".encode())
     n = racks[0].n if racks else 0
     return (
         f"# glracks checkpoint v1 n={n} racks={len(racks)} "
@@ -454,10 +479,10 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
                 pending = []
                 kept = offset
             else:
-                sr = parse_record_line(line, checked)
+                sr = _parse_line(line, checked)
                 if sr.u is None or sr.d is None or sr.flags is None:
                     raise RecordFormatError("checkpoint record lacks u, d or flags")
-                sr.validate(checked)
+                checked.table(sr.n, sr.s).validate(sr)
                 pending.append(sr)
         except (RecordFormatError, RackError, ValueError) as exc:
             raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc

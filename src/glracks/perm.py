@@ -299,10 +299,11 @@ def closure(
     """Materialize the group generated by ``generators``.
 
     Breadth-first product closure; raises :class:`GroupTooLargeError` once
-    more than :data:`GROUP_CAP` elements are found.  ``degree`` is required
+    more than :data:`GROUP_CAP` elements are found.  A repeated generator
+    is dropped, the first of each kept in order.  ``degree`` is required
     when the generator list is empty (the result is then the trivial group).
     """
-    gens = list(generators)
+    gens = list(dict.fromkeys(generators))
     if gens:
         degs = {g.degree for g in gens}
         if len(degs) != 1:

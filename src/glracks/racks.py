@@ -188,26 +188,12 @@ def is_left_distributive(rack: Rack) -> bool:
 
 def transvection_group(rack: Rack) -> SmallGroup:
     """Closure of ``{s_x s_y^-1}``; abelian exactly when the rack is medial."""
-    gens = []
-    seen = set()
-    for p in rack.s:
-        for q in rack.s:
-            g = p * q.inverse()
-            if g.images not in seen:
-                seen.add(g.images)
-                gens.append(g)
-    return closure(gens, degree=rack.n)
+    return closure((p * q.inverse() for p in rack.s for q in rack.s), degree=rack.n)
 
 
 def inn_group(rack: Rack) -> SmallGroup:
     """The inner automorphism group, the closure of ``{s_x}``."""
-    gens = []
-    seen = set()
-    for p in rack.s:
-        if p.images not in seen:
-            seen.add(p.images)
-            gens.append(p)
-    return closure(gens, degree=rack.n)
+    return closure(rack.s, degree=rack.n)
 
 
 def dual(rack: Rack) -> Rack:

@@ -17,10 +17,11 @@ from glracks.classify import (
 from glracks.functors import functor_g
 from glracks.glrack import check_gl
 from glracks.morphisms import aut_group, find_gl_iso, is_isomorphic
-from glracks.perm import centralizer
+from glracks.perm import Permutation, centralizer, conjugation_orbits
 from glracks.racks import check_rack, dihedral, is_medial, is_quandle
 
 from golden_tables import EXPECTED_COUNTS, RACK_COUNTS
+from test_acceptance import long_run_only
 
 
 class TestEnumeration:
@@ -287,6 +288,34 @@ class TestClassification:
                 report.r_q,
                 report.r_qm,
             ) == EXPECTED_COUNTS[n]
+
+    @pytest.mark.parametrize(
+        "n",
+        [*range(7), *(pytest.param(n, marks=long_run_only) for n in (7, 8))],
+    )
+    def test_counts_from_quandle_classes(self, n):
+        # An independent route to the eight counts, with no rack canonical
+        # form and no per-rack aut_group.  R = G(Q, u) has F(R) = (Q, u), so
+        # the rack classes are the Aut Q-classes u in U(Q), one quandle
+        # class Q at a time; Aut R = C_{Aut Q}(u) and U(R) = C_{U(Q)}(u),
+        # so R has the C_{Aut Q}(u)-classes in C_{U(Q)}(u) as GL-classes.
+        # R is a quandle exactly when u = id, and medial exactly when Q is:
+        # its transvections are those of Q conjugated by u.
+        identity = Permutation.identity(n)
+        counts = [0] * 8
+        for flat in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
+            quandle = classify._unflatten(flat, n)
+            aut = aut_group(quandle)
+            structures = gl_structures(quandle, aut)
+            medial = is_medial(quandle)
+            for u, _size in gl_classes(quandle, aut):
+                members = (v.images for v in centralizer(structures, [u]).elements)
+                g = len(conjugation_orbits(members, centralizer(aut, [u])))
+                is_q = u == identity
+                for k, counted in enumerate((True, medial, is_q, is_q and medial)):
+                    counts[k] += g if counted else 0
+                    counts[4 + k] += counted
+        assert tuple(counts) == EXPECTED_COUNTS[n]
 
     def test_complete_against_all_pairs_brute_force(self, racks_by_order):
         # every GL-structure on every rack of order <= 3 is GL-isomorphic to

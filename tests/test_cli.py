@@ -378,19 +378,19 @@ class TestOtherCommands:
         assert out.strip() == "n=4 g=62 g_m=61 g_q=19 g_qm=18 r=19 r_m=18 r_q=7 r_qm=6"
 
     def test_count_not_exhaustive(self, capsys, monkeypatch):
-        # one rack's theta runs out of memory: classify and count both
+        # one rack's records run out of memory: classify and count both
         # exit 2 with the same non-exhaustive lines, and count prints none
-        from glracks import classify
+        from glracks import classify, formats
 
         failing = classify.enumerate_racks(3)[5]
-        real = classify.theta
+        real = formats.gl_records
 
-        def theta(rack):
+        def gl_records(rack, us, rack_index=None):
             if rack == failing:
                 raise MemoryError("injected")
-            return real(rack)
+            return real(rack, us, rack_index)
 
-        monkeypatch.setattr(classify, "theta", theta)
+        monkeypatch.setattr(formats, "gl_records", gl_records)
         code, _out, classify_err = run(capsys, "classify", "-n", "3")
         assert code == 2
         assert classify_err.splitlines() == ["non-exhaustive: rack 5: injected"]

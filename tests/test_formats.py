@@ -16,6 +16,7 @@ from glracks.formats import (
     parse_bracketed_lists,
     parse_record_line,
     read_checkpoint,
+    read_racks,
     read_records,
     scan_records,
     write_records,
@@ -246,6 +247,17 @@ class TestOneParsePerTable:
             assert tables.setdefault(record.rack_index, record.s) is record.s
         assert len({id(s) for s in tables.values()}) == len(racks_by_order[4])
 
+    def test_records_of_one_table_share_one_rack(self, tmp_path, racks_by_order):
+        path = str(tmp_path / "records.txt")
+        write_records(path, classify_gl(4, racks_by_order[4]).records)
+        pairs = read_racks(path)
+        assert [record for record, _rack in pairs] == read_records(path)
+        racks = {}
+        for record, rack in pairs:
+            assert racks.setdefault(record.rack_index, rack) is rack
+            assert rack == racks_by_order[4][record.rack_index]
+        assert len(racks) == len(racks_by_order[4])
+
     def test_lines_are_formatted_as_one_at_a_time(self, racks_by_order):
         records = classify_gl(4, racks_by_order[4]).records
         records.append(StructureRecord(n=2, s=[[1, 0], [1, 0]], u=[0, 1]))
@@ -280,7 +292,6 @@ class TestCheckpoints:
 
     def test_failed_rack_is_redone_on_resume(self, tmp_path, monkeypatch):
         from glracks import classify
-        from glracks.perm import GroupTooLargeError
 
         racks = enumerate_racks(3)
         full = classify_gl(3, racks)
@@ -288,7 +299,7 @@ class TestCheckpoints:
 
         def failing(rack):
             if rack is racks[2]:
-                raise GroupTooLargeError("injected")
+                raise MemoryError("injected")
             return real(rack)
 
         path = str(tmp_path / "ckpt.txt")

@@ -129,6 +129,12 @@ class TestGroups:
         group = closure(gens, 4)
         assert set(group.elements) == set(symmetric_group(4).elements)
 
+    def test_closure_drops_repeated_generators(self):
+        a, b = parse_cycles("(12)", 4), parse_cycles("(1234)", 4)
+        group = closure([a, b, parse_cycles("(12)", 4), b], 4)
+        assert group.generators == (a, b)
+        assert group == closure([a, b], 4)
+
     def test_closure_cap(self, monkeypatch):
         monkeypatch.setattr(perm, "GROUP_CAP", 10)
         with pytest.raises(GroupTooLargeError):

@@ -12,6 +12,7 @@ from glracks.racks import (
     conjugation_quandle,
     dihedral,
     dual,
+    inn_group,
     is_left_distributive,
     is_medial,
     is_quandle,
@@ -119,6 +120,19 @@ class TestPredicates:
     def test_medial_iff_abelian_transvection(self, small_racks):
         for _n, rack in small_racks:
             assert is_medial(rack) == transvection_group(rack).is_abelian()
+
+    def test_group_generators_are_first_occurrences(self, small_racks):
+        # inn_group and transvection_group keep one generator per distinct
+        # permutation, in the order the rows give them
+        for _n, rack in small_racks:
+            rows = rack.s
+            assert inn_group(rack).generators == tuple(
+                p for i, p in enumerate(rows) if p not in rows[:i]
+            )
+            quotients = [p * q.inverse() for p in rows for q in rows]
+            assert transvection_group(rack).generators == tuple(
+                g for i, g in enumerate(quotients) if g not in quotients[:i]
+            )
 
     def test_left_distributive_iff_quandle_for_these(self, small_racks):
         # left distributivity implies the quandle axiom on every rack here
