@@ -16,23 +16,26 @@ GL-structures ``u`` on it gives one rack class ``G(Q, u)``, brought to its
 lexicographically least relabeling by the least of the relabelings that put
 it in the same normal form.
 
-GL-structures on each rack are computed as the centralizer of the inner
-automorphism group inside the full automorphism group; isomorphism classes
-of GL-structures are conjugacy orbits under the automorphism group.  Where
-``Aut R`` comes from depends on the path: an enumerated rack
-``R = G(Q, u)`` has ``theta_R = u``, so ``Aut R = C_{Aut Q}(u)`` is taken
-from the ``Aut Q`` of its quandle class (computed once per quandle), used
-to skip repeated relabelings in the canonical form, and moved onto the
-canonical table with it; a rack from an ingested library has no quandle
-stage, and its group comes from :func:`morphisms.aut_group`.  The naive
-filter of all of ``S_n`` is kept as a cross-check oracle; the tests also
-run the labeled search with every row open (the rack-first oracle) and
-dedupe it by sweeping all of ``S_n``.
+The GL-structures on a rack ``R`` form ``U(R)``, the centralizer of the
+inner automorphism group inside ``Aut R``, and their isomorphism classes
+are the conjugacy orbits in ``U(R)`` under ``Aut R``.  How these are found
+depends on the path.  An enumerated rack ``R = G(Q, u)`` has
+``F(R) = (Q, u)``, so every group it needs comes from its quandle class,
+whose ``Aut Q``, ``U(Q) = C_{Aut Q}(Inn Q)`` and medial flag are computed
+once per quandle: ``Aut R = C_{Aut Q}(u)`` is read off the same orbit walk
+that finds the classes ``u`` (and skips repeated relabelings in the
+canonical form), ``U(R) = C_{U(Q)}(u)``, and ``R`` is medial exactly when
+``Q`` is.  A rack from an ingested library has no quandle stage: its
+group comes from :func:`morphisms.aut_group` and its classes from
+:func:`gl_classes`.  The naive filter of all of ``S_n`` is kept as a
+cross-check oracle; the tests also run the labeled search with every row
+open (the rack-first oracle) and dedupe it by sweeping all of ``S_n``.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
 results files and checkpoints hold, so records go to disk as they are; the
-records of a rack come from :func:`formats.gl_records`, which derives each
-class's down map and flags.  A rack that runs out of memory is reported as
+records of a rack come from :func:`formats.gl_records`, which checks each
+class and derives its down map and Legendrian flag (and, for a library
+rack, its medial flag).  A rack that runs out of memory is reported as
 a diagnostic, and the result is then not exhaustive.
 """
 
@@ -53,9 +56,10 @@ from .perm import (
     SmallGroup,
     centralizer,
     conjugation_orbits,
+    orbit_centralizers,
     symmetric_group,
 )
-from .racks import Rack, check_rack
+from .racks import Rack, check_rack, is_medial
 
 __all__ = [
     "CountReport",
@@ -381,58 +385,61 @@ def _canonical(
     return min(relabeled, key=itemgetter(0))
 
 
-def _transport(
-    autos: Sequence[Sequence[int]], p: Sequence[int], pinv: Sequence[int]
-) -> bytes:
-    """The automorphisms ``p a p^-1`` of the table relabeled by ``p``, in
-    ascending order, as one bytes of ``len(autos) * n`` images."""
-    return b"".join(sorted(bytes(p[a[j]] for j in pinv) for a in autos))
-
-
-def _group(n: int, images: bytes) -> SmallGroup:
-    """The group packed by :func:`_transport`, elements in the order
-    :func:`aut_group` gives them (ascending)."""
-    if n == 0:
-        elements = (Permutation.identity(0),)
-    else:
-        elements = tuple(
-            Permutation.unchecked(tuple(images[i : i + n]))
-            for i in range(0, len(images), n)
-        )
-    return SmallGroup(n, elements, elements)
-
-
 def _unflatten(flat: bytes, n: int) -> Rack:
     s = [tuple(flat[x * n : (x + 1) * n]) for x in range(n)]
     return check_rack(n, s)
 
 
-def _enumerate(n: int, long_run: bool) -> list[tuple[Rack, bytes]]:
-    """Each rack class of order ``n`` as its canonical table with its
-    automorphism group packed by :func:`_transport`, sorted by table.
+def _enumerate(
+    n: int, long_run: bool, classes: bool = True
+) -> list[tuple[Rack, Optional[list[tuple[int, ...]]], bool]]:
+    """Each rack class of order ``n`` as its canonical table, with the
+    representatives of its GL-classes (image arrays on that table, in
+    ascending order, as :func:`gl_classes` gives them; ``None`` when
+    ``classes`` is false, for a caller that wants the racks alone) and
+    whether it is medial; sorted by table.
 
-    ``R = G(Q, u)`` has ``F(R) = (Q, u)`` and ``theta_R = u``, so
-    ``Aut R = C_{Aut Q}(u)``: each rack's group is taken from its quandle's,
-    which serves both ``gl_classes(Q)`` and :func:`_canonical`, and is moved
-    onto the canonical table by the relabeling that gives it.
+    ``R = G(Q, u)`` has ``F(R) = (Q, u)`` and ``theta_R = u``, so every
+    group that ``R`` needs comes from its quandle class ``Q``, whose
+    ``Aut Q``, ``U(Q) = C_{Aut Q}(Inn Q)`` and medial flag are computed
+    once: the classes ``u`` are the ``Aut Q``-orbits on ``U(Q)``, and the
+    walk over them also gives ``Aut R = C_{Aut Q}(u)``, which
+    :func:`_canonical` uses; ``U(R) = C_{U(Q)}(u)`` is ``U(Q) & Aut R``;
+    the GL-classes on ``R`` are the ``Aut R``-orbits on ``U(R)``, each
+    moved onto the canonical table by the relabeling ``p`` that gives it,
+    with the least of its members ``p v p^-1`` as representative; and
+    ``R`` is medial exactly when ``Q`` is (its transvections are those of
+    ``Q`` conjugated by ``u``).
     """
     check_order(n, long_run)
     found = []
     for flat in _dedupe_by_orbits(_labeled_racks(n), n):
         quandle = _unflatten(flat, n)
         aut_q = aut_group(quandle)
-        for u, _size in gl_classes(quandle, aut_q):
-            untwisted = bytes(u.images[v] for v in flat)
-            autos = [a.images for a in centralizer(aut_q, [u]).elements]
+        structures = gl_structures(quandle, aut_q)
+        medial = is_medial(quandle)
+        members = [v.images for v in structures.elements]
+        for orbit, aut_r in orbit_centralizers(members, aut_q):
+            u = orbit[0]
+            untwisted = bytes(u[v] for v in flat)
+            autos = [a.images for a in aut_r.elements]
             canon, p, pinv = _canonical(untwisted, n, autos)
-            found.append((canon, _transport(autos, p, pinv)))
-    found.sort()
-    for (a, _), (b, _) in zip(found, found[1:]):
+            reps = None
+            if classes:
+                fixing = set(autos)
+                on_r = [v for v in members if v in fixing]  # C_{U(Q)}(u)
+                reps = sorted(
+                    min(tuple(p[v[j]] for j in pinv) for v in gl_orbit)
+                    for gl_orbit in conjugation_orbits(on_r, aut_r)
+                )
+            found.append((canon, reps, medial))
+    found.sort(key=itemgetter(0))
+    for (a, *_), (b, *_) in zip(found, found[1:]):
         if a == b:
             raise RuntimeError(
                 f"two GL-quandle classes untwist to isomorphic racks: {list(a)}"
             )
-    return [(_unflatten(flat, n), aut) for flat, aut in found]
+    return [(_unflatten(flat, n), reps, medial) for flat, reps, medial in found]
 
 
 def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
@@ -454,7 +461,7 @@ def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
     Orders above 6 must be requested with ``long_run=True``; 8 is the
     supported maximum.
     """
-    return [rack for rack, _aut in _enumerate(n, long_run)]
+    return [rack for rack, _reps, _medial in _enumerate(n, long_run, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +537,24 @@ class ClassificationResult:
 
 
 def _classify_one_rack(
-    args: tuple[int, int, Rack, Optional[bytes]]
+    args: tuple[int, Rack, Optional[tuple[list[tuple[int, ...]], bool]]]
 ) -> tuple[int, list[formats.StructureRecord], Optional[str]]:
-    """The records of one rack; its automorphisms come packed as by
-    :func:`_transport`, or, for ``None``, from :func:`aut_group`."""
-    n, rack_index, rack, aut_images = args
+    """The records of one rack, built by :func:`formats.gl_records`.
+
+    An enumerated rack comes with its GL-class representatives and medial
+    flag (see :func:`_enumerate`); for ``None`` (a library rack) the
+    classes come from :func:`aut_group` and :func:`gl_classes`.
+    """
+    rack_index, rack, known = args
     try:
-        aut = aut_group(rack) if aut_images is None else _group(n, aut_images)
-        us = [u for u, _size in gl_classes(rack, aut)]
-        return rack_index, formats.gl_records(rack, us, rack_index), None
+        if known is None:
+            us = [u for u, _size in gl_classes(rack)]
+            medial = None
+        else:
+            reps, medial = known
+            us = [Permutation.unchecked(u) for u in reps]
+        records = formats.gl_records(rack, us, rack_index, medial)
+        return rack_index, records, None
     except MemoryError as exc:
         return rack_index, [], f"rack {rack_index}: {exc}"
 
@@ -554,32 +570,42 @@ def classify_gl(
     """Classify all GL-racks of order ``n`` up to isomorphism.
 
     ``racks`` defaults to the racks of :func:`enumerate_racks`, each with
-    the automorphism group it is enumerated with (from its quandle's, see
-    :func:`_enumerate`); pass an ingested library list to classify external
-    data, and each rack's group is then found by :func:`aut_group`.  The
-    global result has one record per GL-rack isomorphism class because
-    GL-isomorphic structures have isomorphic underlying racks and the rack
-    list holds one rack per class.
+    its GL-classes and medial flag, taken from its quandle class's groups
+    (see :func:`_enumerate`); pass an ingested library list to classify
+    external data, and each rack's classes are then found from its own
+    :func:`aut_group`.  Either way each class becomes a record through
+    :func:`formats.gl_records`, which checks it and derives its down map
+    and flags.  The global result has one record per GL-rack isomorphism
+    class because GL-isomorphic structures have isomorphic underlying
+    racks and the rack list holds one rack per class.
     Per-rack failures are recorded as diagnostics and make the result
     non-exhaustive rather than aborting the whole run.
+
+    With ``jobs > 1`` the per-rack work runs in a pool of that many
+    processes.  On the enumerate path that is only the record building:
+    the class walk is made once per quandle class, in this process,
+    before any rack is handed out.
 
     With ``checkpoint_path``, the racks already finished there are not
     redone, and this process appends each further ``CHECKPOINT_EVERY``
     finished racks (under any ``jobs``); a failed rack is not checkpointed.
     """
     if racks is None:
-        enumerated: list[tuple[Rack, Optional[bytes]]] = _enumerate(n, long_run)
-        racks = [rack for rack, _aut in enumerated]
+        enumerated = _enumerate(n, long_run)
+        racks = [rack for rack, _reps, _medial in enumerated]
+        tasks = [
+            (i, rack, (reps, medial))
+            for i, (rack, reps, medial) in enumerate(enumerated)
+        ]
     else:
-        enumerated = [(rack, None) for rack in racks]
-    tasks = [(n, i, rack, aut) for i, (rack, aut) in enumerate(enumerated)]
+        tasks = [(i, rack, None) for i, rack in enumerate(racks)]
 
     records: list[formats.StructureRecord] = []
     diagnostics: list[str] = []
 
     if checkpoint_path is not None:
         done, records = formats.read_checkpoint(checkpoint_path, racks)
-        tasks = [t for t in tasks if t[1] not in done]
+        tasks = [t for t in tasks if t[0] not in done]
 
     with contextlib.ExitStack() as stack:
         if jobs > 1:

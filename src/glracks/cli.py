@@ -42,7 +42,10 @@ def _fail(message: str, code: int) -> int:
 
 def _emit_records(records: list[StructureRecord], out: Optional[str], table: bool) -> None:
     if out is not None:
-        formats.write_records(out, records)
+        try:
+            formats.write_records(out, records)
+        except OSError as exc:
+            raise SystemExit(_fail(str(exc), EXIT_IO))
     elif table:
         for rec in records:
             print(formats.format_record_table(rec))
@@ -85,6 +88,8 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     _classify.check_order(args.n, args.long_run)
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, not {args.jobs}", EXIT_INVALID)
     racks = None
     if args.source != "enumerate":
         try:
@@ -208,6 +213,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, not {args.jobs}", EXIT_INVALID)
     try:
         result = _classify.classify_gl(args.n, long_run=args.long_run, jobs=args.jobs)
     except MemoryError:

@@ -127,12 +127,20 @@ class _Table:
 
 
 def gl_records(
-    rack: Rack, us: Iterable[Permutation], rack_index: Optional[int] = None
+    rack: Rack,
+    us: Iterable[Permutation],
+    rack_index: Optional[int] = None,
+    medial: Optional[bool] = None,
 ) -> list[StructureRecord]:
     """The record of each GL-structure in ``us`` on the checked ``rack``
     (``check_rack`` is not run again), with ``d`` and the flags derived;
-    :class:`glracks.glrack.GLRackError` for a ``u`` that is not one."""
+    :class:`glracks.glrack.GLRackError` for a ``u`` that is not one.
+    ``medial``, when given, is taken as the rack's medial flag in place of
+    :func:`is_medial` (a caller that knows it from the rack's quandle)."""
     table = _Table(rack.n, rack.tables(), rack)
+    if medial is not None:
+        # a cached_property is set like a plain attribute
+        table.quandle_medial = (is_quandle(rack), medial)
     return [table.record(u, rack_index) for u in us]
 
 

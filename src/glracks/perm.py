@@ -30,6 +30,7 @@ __all__ = [
     "are_conjugate",
     "conjugacy_classes",
     "conjugation_orbits",
+    "orbit_centralizers",
 ]
 
 # the most elements ``closure`` materializes
@@ -381,6 +382,31 @@ def are_conjugate(
     return False, None
 
 
+def _orbit_walk(
+    members: Iterable[tuple[int, ...]], group: SmallGroup
+) -> Iterator[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """Each orbit of ``members`` (image arrays) under conjugation by
+    ``group``, sorted, with the conjugates of its least member ``a`` in the
+    order of ``group.elements``: ``g`` fixes ``a`` exactly when its
+    conjugate is ``a``.  Orbits come in the order of their least members.
+
+    Raises ``ValueError`` if an orbit leaves ``members``: the caller's set
+    is then not closed under conjugation, which a correct caller rules out.
+    """
+    remaining = set(members)
+    # g a g^-1 is the row of g a read at g^-1
+    pairs = [(g.images, _row_getter(g.inverse().images)) for g in group.elements]
+    while remaining:
+        a = min(remaining)
+        then_a = _row_getter(a)
+        conjugates = [at_inv(then_a(gi)) for gi, at_inv in pairs]
+        orbit = set(conjugates)
+        if not orbit <= remaining:
+            raise ValueError(f"conjugation orbit of {a} leaves the member set")
+        remaining -= orbit
+        yield sorted(orbit), conjugates
+
+
 def conjugation_orbits(
     members: Iterable[tuple[int, ...]], group: SmallGroup
 ) -> list[list[tuple[int, ...]]]:
@@ -391,19 +417,22 @@ def conjugation_orbits(
     Raises ``ValueError`` if an orbit leaves ``members``: the caller's set
     is then not closed under conjugation, which a correct caller rules out.
     """
-    remaining = set(members)
-    # g a g^-1 is the row of g a read at g^-1
-    pairs = [(g.images, _row_getter(g.inverse().images)) for g in group.elements]
-    orbits = []
-    while remaining:
-        a = min(remaining)
-        then_a = _row_getter(a)
-        orbit = {at_inv(then_a(gi)) for gi, at_inv in pairs}
-        if not orbit <= remaining:
-            raise ValueError(f"conjugation orbit of {a} leaves the member set")
-        remaining -= orbit
-        orbits.append(sorted(orbit))
-    return orbits
+    return [orbit for orbit, _conjugates in _orbit_walk(members, group)]
+
+
+def orbit_centralizers(
+    members: Iterable[tuple[int, ...]], group: SmallGroup
+) -> list[tuple[list[tuple[int, ...]], SmallGroup]]:
+    """The orbits of :func:`conjugation_orbits`, each with the centralizer
+    in ``group`` of its least member (its stabilizer under conjugation),
+    read off the same walk: ``centralizer(group, [orbit[0]])`` without a
+    second pass over ``group``."""
+    out = []
+    for orbit, conjugates in _orbit_walk(members, group):
+        a = orbit[0]
+        fixing = tuple(g for g, c in zip(group.elements, conjugates) if c == a)
+        out.append((orbit, SmallGroup(group.degree, fixing, fixing)))
+    return out
 
 
 def conjugacy_classes(group: SmallGroup) -> list[tuple[Permutation, ...]]:

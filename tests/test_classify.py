@@ -163,13 +163,12 @@ class TestQuandleFirst:
                 p = list(range(n))
                 rng.shuffle(p)
                 assert classify._canonical(_relabeled(flat, n, p), n)[0] == flat
-                # with aut_group moved onto the relabeled table
+                # with aut_group moved onto the relabeled table: p a p^-1
                 relabeled = _relabeled(flat, n, p)
                 pinv = sorted(range(n), key=p.__getitem__)
-                moved = classify._group(n, classify._transport(autos, p, pinv))
+                moved = sorted(tuple(p[a[j]] for j in pinv) for a in autos)
                 relabeled_rack = classify._unflatten(relabeled, n)
-                assert moved.elements == aut_group(relabeled_rack).elements
-                moved = _images(moved)
+                assert moved == _images(aut_group(relabeled_rack))
                 table, q, qinv = classify._canonical(relabeled, n, moved)
                 assert table == flat
                 assert classify._relabel(relabeled, n, q, qinv) == flat
@@ -181,16 +180,20 @@ class TestQuandleFirst:
         assert got == oracle
 
     def test_equal_canonical_forms_raise(self, monkeypatch):
-        real = classify.gl_classes
+        # every GL-quandle class met twice untwists to the same rack twice
+        real = classify.orbit_centralizers
         monkeypatch.setattr(
-            classify, "gl_classes", lambda rack, aut=None: real(rack, aut) * 2
+            classify,
+            "orbit_centralizers",
+            lambda members, group: real(members, group) * 2,
         )
         with pytest.raises(RuntimeError):
             enumerate_racks(3)
 
 
 class TestCarriedAutomorphisms:
-    """``Aut G(Q, u) = C_{Aut Q}(u)``, carried through ``_canonical``."""
+    """``Aut G(Q, u) = C_{Aut Q}(u)`` and ``U(G(Q, u)) = C_{U(Q)}(u)``,
+    taken from the quandle class and carried through ``_canonical``."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_one_relabeling_per_automorphism_coset(self, n):
@@ -209,22 +212,47 @@ class TestCarriedAutomorphisms:
             assert len(tables) == len(fewer)
 
     @pytest.mark.parametrize("n", range(7))
-    def test_carried_group_is_aut_group(self, n):
-        for rack, aut in classify._enumerate(n, long_run=False):
-            assert classify._group(n, aut).elements == aut_group(rack).elements
+    def test_carried_group_is_aut_group(self, n, monkeypatch):
+        # the group that the orbit walk hands _canonical is the whole
+        # automorphism group of the untwisted table
+        real = classify._canonical
+        seen = []
+
+        def canonical(flat, n, autos=()):
+            seen.append((flat, autos))
+            return real(flat, n, autos)
+
+        monkeypatch.setattr(classify, "_canonical", canonical)
+        assert len(enumerate_racks(n)) == len(seen)
+        for flat, autos in seen:
+            assert autos == _images(aut_group(classify._unflatten(flat, n)))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_carried_classes_are_gl_classes(self, n):
+        # the classes taken from the quandle's groups are the rack's own
+        for rack, reps, medial in classify._enumerate(n, long_run=False):
+            assert reps == [u.images for u, _ in gl_classes(rack, aut_group(rack))]
+            assert medial == is_medial(rack)
 
     def test_aut_of_untwist_centralizes_u(self):
-        # every u in U(Q), not only the class representatives
+        # every u in U(Q), not only the class representatives:
+        # Aut G(Q, u) = C_{Aut Q}(u), U(G(Q, u)) = C_{U(Q)}(u), and
+        # G(Q, u) is medial exactly when Q is
         for n in range(6):
             for flat in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
                 quandle = classify._unflatten(flat, n)
                 aut_q = aut_group(quandle)
-                for u in gl_structures(quandle, aut_q).elements:
+                u_q = gl_structures(quandle, aut_q)
+                medial = is_medial(quandle)
+                for u in u_q.elements:
                     rack = functor_g(check_gl(quandle, u))
+                    aut_r = aut_group(rack)
+                    assert aut_r.elements == centralizer(aut_q, [u]).elements
                     assert (
-                        aut_group(rack).elements
-                        == centralizer(aut_q, [u]).elements
+                        gl_structures(rack, aut_r).elements
+                        == centralizer(u_q, [u]).elements
                     )
+                    assert is_medial(rack) == medial
 
     def test_count_report_needs_a_record_per_rack(self):
         result = classify_gl(3)

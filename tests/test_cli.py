@@ -118,12 +118,45 @@ class TestUnreadableInput:
         assert err.startswith("error:") and "not an integer" in err
 
 
+class TestUnwritableOutput:
+    """An ``--out`` that cannot be written ends in an ``error:`` line and
+    exit 3, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "-n", "2"),
+            ("enumerate-racks", "-n", "2"),
+            ("functor", "f", "FILE"),
+            ("quotient", "assoc", "FILE"),
+        ],
+    )
+    def test_out_is_a_directory_exits_3(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "racks.txt")
+        write_records(path, [StructureRecord(n=3, s=dihedral(3).tables())])
+        argv = [path if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(tmp_path)])
+        assert info.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+
 class TestClassify:
     def test_stdout_counts(self, capsys):
         code, out, _err = run(capsys, "classify", "-n", "3")
         assert code == 0
         assert "g=13" in out and "r_qm=3" in out
         assert out.count("\n") == 14  # 13 records + summary
+
+    @pytest.mark.parametrize("command", ["classify", "count"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, capsys, command, jobs):
+        code, out, err = run(capsys, command, "-n", "3", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, not {jobs}\n"
 
     def test_out_file_validates(self, capsys, tmp_path):
         path = str(tmp_path / "cls.txt")
@@ -385,10 +418,10 @@ class TestOtherCommands:
         failing = classify.enumerate_racks(3)[5]
         real = formats.gl_records
 
-        def gl_records(rack, us, rack_index=None):
+        def gl_records(rack, us, rack_index=None, medial=None):
             if rack == failing:
                 raise MemoryError("injected")
-            return real(rack, us, rack_index)
+            return real(rack, us, rack_index, medial)
 
         monkeypatch.setattr(formats, "gl_records", gl_records)
         code, _out, classify_err = run(capsys, "classify", "-n", "3")

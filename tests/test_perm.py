@@ -14,6 +14,7 @@ from glracks.perm import (
     closure,
     conjugacy_classes,
     conjugation_orbits,
+    orbit_centralizers,
     parse_cycles,
     print_cycles,
     row_cycle_type,
@@ -161,6 +162,18 @@ class TestGroups:
         assert conjugation_orbits(transpositions, s3) == [sorted(transpositions)]
         with pytest.raises(ValueError):
             conjugation_orbits(transpositions[:2], s3)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_orbit_walk_centralizers(self, n):
+        # the stabilizer read off the orbit walk is the centralizer of the
+        # orbit's least member, for every conjugacy class of S_n
+        group = symmetric_group(n)
+        members = [g.images for g in group.elements]
+        walked = orbit_centralizers(members, group)
+        assert [orbit for orbit, _ in walked] == conjugation_orbits(members, group)
+        for orbit, stabilizer in walked:
+            rep = Permutation(orbit[0])
+            assert stabilizer.elements == centralizer(group, [rep]).elements
 
     def test_are_conjugate_witness(self):
         s5 = symmetric_group(5)
