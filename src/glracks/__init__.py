@@ -51,7 +51,6 @@ from .morphisms import (
 from .classify import (
     CountReport,
     gl_structures,
-    gl_structures_brute,
     gl_classes,
     enumerate_racks,
     classify_gl,

@@ -11,7 +11,9 @@ only over tables in a normal form that the lexicographically least table
 of every class has: identity rows first, then the row with the least
 cycle-type key.  The labeled quandles are deduplicated into isomorphism
 classes by removing relabeling orbits, built only from the relabelings
-that keep the normal form; and each quandle ``Q`` with each class of
+that keep the normal form, and the stabilizer of each class's least table
+in that walk is its automorphism group ``Aut Q``, with no automorphism
+search; and each quandle ``Q`` with each class of
 GL-structures ``u`` on it gives one rack class ``G(Q, u)``, brought to its
 lexicographically least relabeling by the least of the relabelings that put
 it in the same normal form.
@@ -21,15 +23,17 @@ inner automorphism group inside ``Aut R``, and their isomorphism classes
 are the conjugacy orbits in ``U(R)`` under ``Aut R``.  How these are found
 depends on the path.  An enumerated rack ``R = G(Q, u)`` has
 ``F(R) = (Q, u)``, so every group it needs comes from its quandle class,
-whose ``Aut Q``, ``U(Q) = C_{Aut Q}(Inn Q)`` and medial flag are computed
-once per quandle: ``Aut R = C_{Aut Q}(u)`` is read off the same orbit walk
-that finds the classes ``u`` (and skips repeated relabelings in the
-canonical form), ``U(R) = C_{U(Q)}(u)``, and ``R`` is medial exactly when
-``Q`` is.  A rack from an ingested library has no quandle stage: its
-group comes from :func:`morphisms.aut_group` and its classes from
-:func:`gl_classes`.  The naive filter of all of ``S_n`` is kept as a
-cross-check oracle; the tests also run the labeled search with every row
-open (the rack-first oracle) and dedupe it by sweeping all of ``S_n``.
+whose ``Aut Q`` comes from the dedupe and whose ``U(Q) = C_{Aut Q}(Inn Q)``
+and medial flag are computed once per quandle: ``Aut R = C_{Aut Q}(u)`` is
+read off the orbit walk that finds the classes ``u`` (and skips repeated
+relabelings in the canonical form), ``U(R) = C_{U(Q)}(u)``, and ``R`` is
+medial exactly when ``Q`` is.  Both walks, and every other orbit loop, are
+the one :func:`perm._orbit_walk`.  A rack from an ingested library has no
+quandle stage: its group comes from :func:`morphisms.aut_group` and its
+classes from :func:`gl_classes`.  The brute-force oracles live in the
+tests: the labeled search with every row open (the rack-first oracle), the
+dedupe by sweeping all of ``S_n``, and the filter of all of ``S_n``
+through the GL-structure definition.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
 results files and checkpoints hold, so records go to disk as they are; the
@@ -49,11 +53,12 @@ from operator import itemgetter
 from typing import Container, Iterator, Optional, Sequence
 
 from . import formats
-from .glrack import GLFlags, is_gl_structure
+from .glrack import GLFlags
 from .morphisms import aut_group
 from .perm import (
     Permutation,
     SmallGroup,
+    _orbit_walk,
     centralizer,
     conjugation_orbits,
     orbit_centralizers,
@@ -68,7 +73,6 @@ __all__ = [
     "OrderOutOfRange",
     "check_order",
     "gl_structures",
-    "gl_structures_brute",
     "gl_classes",
     "enumerate_racks",
     "classify_gl",
@@ -345,25 +349,31 @@ def _relabel(flat: bytes, n: int, p: Sequence[int], pinv: Sequence[int]) -> byte
     return bytes(out)
 
 
-def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[bytes]:
+def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[tuple[bytes, SmallGroup]]:
     """One lexicographically-least table per isomorphism class of the
     normal-form quandle tables ``labeled`` (see :func:`_labeled_racks`), in
-    ascending order.
+    ascending order, each with its automorphism group ``Aut Q``.
 
-    The relabelings that keep a table in normal form are those of
-    :func:`_normal_relabelings`, so each representative is relabeled by
-    these alone, not by all of ``S_n``, and the orbits found are the
-    isomorphism classes met in ``labeled``.
+    Each representative is relabeled only by the relabelings that keep it
+    in normal form (:func:`_normal_relabelings`), not by all of ``S_n``, in
+    one :func:`perm._orbit_walk`: the orbits are the isomorphism classes met
+    in ``labeled``, and one that leaves ``labeled`` raises ``ValueError``.
+    Every automorphism keeps the normal form, so ``Aut Q`` is the walk's
+    stabilizer, sorted as :func:`aut_group` sorts it; but the all-identity
+    table's one relabeling is the identity, and its ``Aut Q`` is ``S_n``.
     """
-    remaining = set(labeled)
-    reps = []
-    while remaining:
-        rep = min(remaining)
-        reps.append(rep)
-        remaining -= {
-            _relabel(rep, n, p, pinv) for p, pinv in _normal_relabelings(rep, n)
-        }
-    return reps
+
+    def relabelings(rep: bytes) -> tuple[list[tuple[int, ...]], list[bytes]]:
+        pairs = list(_normal_relabelings(rep, n))
+        return [p for p, _ in pairs], [_relabel(rep, n, p, pinv) for p, pinv in pairs]
+
+    trivial = bytes(range(n)) * n
+    classes = []
+    for orbit, fixing in _orbit_walk(labeled, relabelings, "relabeling"):
+        autos = tuple(Permutation.unchecked(p) for p in sorted(fixing))
+        aut = SmallGroup(n, autos, autos) if orbit[0] != trivial else symmetric_group(n)
+        classes.append((orbit[0], aut))
+    return classes
 
 
 def _canonical(
@@ -401,10 +411,11 @@ def _enumerate(
 
     ``R = G(Q, u)`` has ``F(R) = (Q, u)`` and ``theta_R = u``, so every
     group that ``R`` needs comes from its quandle class ``Q``, whose
-    ``Aut Q``, ``U(Q) = C_{Aut Q}(Inn Q)`` and medial flag are computed
-    once: the classes ``u`` are the ``Aut Q``-orbits on ``U(Q)``, and the
-    walk over them also gives ``Aut R = C_{Aut Q}(u)``, which
-    :func:`_canonical` uses; ``U(R) = C_{U(Q)}(u)`` is ``U(Q) & Aut R``;
+    ``Aut Q`` the dedupe returns (:func:`_dedupe_by_orbits`; no
+    :func:`aut_group` runs here) and whose ``U(Q) = C_{Aut Q}(Inn Q)`` and
+    medial flag are computed once: the classes ``u`` are the ``Aut Q``-orbits
+    on ``U(Q)``, and the walk over them also gives ``Aut R = C_{Aut Q}(u)``,
+    which :func:`_canonical` uses; ``U(R) = C_{U(Q)}(u)`` is ``U(Q) & Aut R``;
     the GL-classes on ``R`` are the ``Aut R``-orbits on ``U(R)``, each
     moved onto the canonical table by the relabeling ``p`` that gives it,
     with the least of its members ``p v p^-1`` as representative; and
@@ -413,9 +424,8 @@ def _enumerate(
     """
     check_order(n, long_run)
     found = []
-    for flat in _dedupe_by_orbits(_labeled_racks(n), n):
+    for flat, aut_q in _dedupe_by_orbits(_labeled_racks(n), n):
         quandle = _unflatten(flat, n)
-        aut_q = aut_group(quandle)
         structures = gl_structures(quandle, aut_q)
         medial = is_medial(quandle)
         members = [v.images for v in structures.elements]
@@ -474,16 +484,6 @@ def gl_structures(rack: Rack, aut: Optional[SmallGroup] = None) -> SmallGroup:
     if aut is None:
         aut = aut_group(rack)
     return centralizer(aut, rack.s)
-
-
-def gl_structures_brute(rack: Rack) -> list[Permutation]:
-    """Oracle: filter every permutation of the carrier through the
-    GL-structure definition directly."""
-    return [
-        u
-        for u in symmetric_group(rack.n).elements
-        if is_gl_structure(rack, u)
-    ]
 
 
 def gl_classes(

@@ -7,6 +7,7 @@ or parse error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -38,6 +39,22 @@ def _load_records(path: str) -> list[tuple[StructureRecord, Rack]]:
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Fail at once on an ``out`` path that cannot be opened for writing, so
+    that a bad path costs no search.  The check opens it for append, which
+    keeps an existing file as it is, and removes a file that it made."""
+    if out is None:
+        return
+    existed = os.path.lexists(out)
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise SystemExit(_fail(str(exc), EXIT_IO))
+    if not existed:
+        os.remove(out)
 
 
 def _emit_records(records: list[StructureRecord], out: Optional[str], table: bool) -> None:
@@ -90,6 +107,7 @@ def cmd_classify(args) -> int:
     _classify.check_order(args.n, args.long_run)
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, not {args.jobs}", EXIT_INVALID)
+    _check_out(args.out)
     racks = None
     if args.source != "enumerate":
         try:
@@ -128,6 +146,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate_racks(args) -> int:
+    _classify.check_order(args.n, args.long_run)
+    _check_out(args.out)
     racks = _classify.enumerate_racks(args.n, long_run=args.long_run)
     records = [
         StructureRecord(n=args.n, s=r.tables(), rack_index=i)

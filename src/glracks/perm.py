@@ -8,12 +8,13 @@ Printed cycle notation is 1-based; see :func:`parse_cycles` and
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from functools import total_ordering
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Permutation",
@@ -278,8 +279,6 @@ class SmallGroup:
 
 def symmetric_group(degree: int) -> SmallGroup:
     """The full symmetric group S_degree, materialized."""
-    import itertools
-
     elements = tuple(
         Permutation.unchecked(p) for p in itertools.permutations(range(degree))
     )
@@ -382,55 +381,56 @@ def are_conjugate(
     return False, None
 
 
-def _orbit_walk(
-    members: Iterable[tuple[int, ...]], group: SmallGroup
-) -> Iterator[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
-    """Each orbit of ``members`` (image arrays) under conjugation by
-    ``group``, sorted, with the conjugates of its least member ``a`` in the
-    order of ``group.elements``: ``g`` fixes ``a`` exactly when its
-    conjugate is ``a``.  Orbits come in the order of their least members.
-
-    Raises ``ValueError`` if an orbit leaves ``members``: the caller's set
-    is then not closed under conjugation, which a correct caller rules out.
-    """
+def _orbit_walk(members: Iterable, act: Callable, action: str) -> Iterator[tuple]:
+    """Each orbit of ``members`` under a group action, sorted, with an
+    iterator over the stabilizer of its least member ``a``, in the order of
+    least members: ``act(a)`` lists acting elements and the image of ``a``
+    under each, the images make up the orbit and the elements with image
+    ``a`` the stabilizer, which is only searched if iterated.  Raises
+    ``ValueError``, naming the ``action``, if an orbit leaves ``members``;
+    a correct caller rules that out."""
     remaining = set(members)
-    # g a g^-1 is the row of g a read at g^-1
-    pairs = [(g.images, _row_getter(g.inverse().images)) for g in group.elements]
     while remaining:
         a = min(remaining)
-        then_a = _row_getter(a)
-        conjugates = [at_inv(then_a(gi)) for gi, at_inv in pairs]
-        orbit = set(conjugates)
+        elements, images = act(a)
+        orbit = set(images)
         if not orbit <= remaining:
-            raise ValueError(f"conjugation orbit of {a} leaves the member set")
+            raise ValueError(f"{action} orbit of {a} leaves the member set")
         remaining -= orbit
-        yield sorted(orbit), conjugates
+        yield sorted(orbit), itertools.compress(elements, map(a.__eq__, images))
+
+
+def _conjugation(group: SmallGroup) -> Callable:
+    """Conjugation by ``group``, as :func:`_orbit_walk` takes an action:
+    each ``g`` in ``group`` with ``g a g^-1``, the row of ``g a`` at ``g^-1``."""
+    pairs = [(g.images, _row_getter(g.inverse().images)) for g in group.elements]
+
+    def act(a: tuple[int, ...]) -> tuple[Sequence[Permutation], list]:
+        then_a = _row_getter(a)
+        return group.elements, [at_inv(then_a(gi)) for gi, at_inv in pairs]
+
+    return act
 
 
 def conjugation_orbits(
     members: Iterable[tuple[int, ...]], group: SmallGroup
 ) -> list[list[tuple[int, ...]]]:
     """Partition ``members`` (image arrays) into orbits under conjugation
-    by ``group``.
-
-    Each orbit is sorted, and orbits are ordered by their least member.
-    Raises ``ValueError`` if an orbit leaves ``members``: the caller's set
-    is then not closed under conjugation, which a correct caller rules out.
-    """
-    return [orbit for orbit, _conjugates in _orbit_walk(members, group)]
+    by ``group``, each sorted, in the order of their least members; raises
+    ``ValueError`` if an orbit leaves ``members``."""
+    walk = _orbit_walk(members, _conjugation(group), "conjugation")
+    return [orbit for orbit, _stabilizer in walk]
 
 
 def orbit_centralizers(
     members: Iterable[tuple[int, ...]], group: SmallGroup
 ) -> list[tuple[list[tuple[int, ...]], SmallGroup]]:
     """The orbits of :func:`conjugation_orbits`, each with the centralizer
-    in ``group`` of its least member (its stabilizer under conjugation),
-    read off the same walk: ``centralizer(group, [orbit[0]])`` without a
-    second pass over ``group``."""
+    in ``group`` of its least member, its stabilizer in the same walk: that
+    is ``centralizer(group, [orbit[0]])`` without a second pass."""
     out = []
-    for orbit, conjugates in _orbit_walk(members, group):
-        a = orbit[0]
-        fixing = tuple(g for g, c in zip(group.elements, conjugates) if c == a)
+    for orbit, stabilizer in _orbit_walk(members, _conjugation(group), "conjugation"):
+        fixing = tuple(stabilizer)
         out.append((orbit, SmallGroup(group.degree, fixing, fixing)))
     return out
 

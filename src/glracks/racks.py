@@ -30,7 +30,6 @@ __all__ = [
     "check_rack",
     "is_quandle",
     "is_medial",
-    "is_left_distributive",
     "inn_group",
     "transvection_group",
     "dual",
@@ -43,7 +42,6 @@ __all__ = [
     "associated_quandle",
     "medialization",
     "profile",
-    "is_subrack",
 ]
 
 
@@ -169,20 +167,6 @@ def is_medial(rack: Rack) -> bool:
         matrix = [products[a] for a in rx]
         if list(zip(*matrix)) != matrix:
             return False
-    return True
-
-
-def is_left_distributive(rack: Rack) -> bool:
-    """Whether ``s_{s_a(b)}(x) == s_{s_a(x)}(s_b(x))`` for all a, b, x."""
-    rows = rack.tables()
-    n = rack.n
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            target = rows[ra[b]]
-            rb = rows[b]
-            if any(target[x] != rows[ra[x]][rb[x]] for x in range(n)):
-                return False
     return True
 
 
@@ -421,15 +405,3 @@ def profile(rack: Rack) -> RackProfile:
         s_cycle_types=tuple(sorted(p.cycle_type() for p in rack.s)),
         inn_order=inn_order,
     )
-
-
-def is_subrack(rack: Rack, subset: Sequence[int]) -> bool:
-    """Whether ``subset`` is closed under ``s_y`` and ``s_y^-1`` for y in it."""
-    members = set(subset)
-    for y in members:
-        p = rack.s[y]
-        inv = p.inverse()
-        for z in members:
-            if p.images[z] not in members or inv.images[z] not in members:
-                return False
-    return True

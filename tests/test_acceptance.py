@@ -19,7 +19,6 @@ from glracks.classify import (
     enumerate_racks,
     gl_classes,
     gl_structures,
-    gl_structures_brute,
 )
 from glracks.functors import functor_f, functor_g
 from glracks.glrack import check_gl, down_map
@@ -50,6 +49,7 @@ from glracks.racks import (
 )
 
 from golden_tables import EXPECTED_COUNTS, GOLDEN, RACK_COUNTS
+from oracles import gl_structures_brute
 
 LONG_RUN = os.environ.get("GLRACKS_LONG_RUN") == "1"
 long_run_only = pytest.mark.skipif(

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -12,7 +11,6 @@ from glracks.classify import (
     enumerate_racks,
     gl_classes,
     gl_structures,
-    gl_structures_brute,
 )
 from glracks.functors import functor_g
 from glracks.glrack import check_gl
@@ -21,6 +19,7 @@ from glracks.perm import Permutation, centralizer, conjugation_orbits
 from glracks.racks import check_rack, dihedral, is_medial, is_quandle
 
 from golden_tables import EXPECTED_COUNTS, RACK_COUNTS
+from oracles import gl_structures_brute, oracle_min, rack_first, relabel_by, sweep_dedupe
 from test_acceptance import long_run_only
 
 
@@ -61,37 +60,6 @@ def _conjugate(p, s):
     return tuple(out)
 
 
-def _relabeled(flat, n, p):
-    pinv = tuple(sorted(range(n), key=p.__getitem__))
-    return classify._relabel(flat, n, tuple(p), pinv)
-
-
-def _oracle_min(flat, n):
-    """The lex-least relabeling by brute force over S_n."""
-    return min(_relabeled(flat, n, p) for p in itertools.permutations(range(n)))
-
-
-def _sweep_dedupe(labeled, n):
-    """Oracle: the lex-least table of each relabeling orbit, by applying
-    all of S_n to each representative, in ascending order."""
-    perms = list(itertools.permutations(range(n)))
-    remaining = set(labeled)
-    reps = []
-    while remaining:
-        rep = min(remaining)
-        remaining -= {_relabeled(rep, n, p) for p in perms}
-        reps.append(rep)
-    return reps
-
-
-@functools.lru_cache(maxsize=None)
-def _rack_first(n):
-    """Oracle: every rack table on {0..n-1}, by the labeled search with
-    every row open to every permutation."""
-    perms = list(itertools.permutations(range(n)))
-    return tuple(classify._search([None] * n, [perms] * n))
-
-
 def _images(group):
     return [a.images for a in group.elements]
 
@@ -100,14 +68,15 @@ class TestQuandleFirst:
     def test_quandle_search_keeps_the_least_table_of_every_class(self):
         for n in range(7):
             quandles = {
-                f for f in _rack_first(n) if all(f[x * n + x] == x for x in range(n))
+                f for f in rack_first(n) if all(f[x * n + x] == x for x in range(n))
             }
-            oracle = _sweep_dedupe(quandles, n)
+            oracle = sweep_dedupe(quandles, n)
             labeled = classify._labeled_racks(n)
             assert len(set(labeled)) == len(labeled)
             assert set(labeled) <= quandles
             assert set(oracle) <= set(labeled)
-            assert classify._dedupe_by_orbits(labeled, n) == oracle
+            classes = classify._dedupe_by_orbits(labeled, n)
+            assert [flat for flat, _aut in classes] == oracle
 
     def test_labeled_quandle_counts(self):
         counts = [len(classify._labeled_racks(n)) for n in range(7)]
@@ -116,6 +85,24 @@ class TestQuandleFirst:
     def test_quandle_classes_order_7(self):
         classes = classify._dedupe_by_orbits(classify._labeled_racks(7), 7)
         assert len(classes) == EXPECTED_COUNTS[7][6]  # r_q
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_dedupe_carries_aut_group(self, n):
+        # the stabilizer of each class's relabeling orbit is its whole
+        # automorphism group; for the trivial quandle that is S_n
+        classes = classify._dedupe_by_orbits(classify._labeled_racks(n), n)
+        for flat, aut in classes:
+            quandle = classify._unflatten(flat, n)
+            assert aut.elements == aut_group(quandle).elements
+        assert classes[0][1].is_symmetric()
+
+    def test_dedupe_raises_on_an_orbit_that_leaves_its_input(self):
+        # a class with a normal-form table missing is not an orbit
+        labeled = classify._labeled_racks(5)
+        flats = [flat for flat, _aut in classify._dedupe_by_orbits(labeled, 5)]
+        missing = min(set(labeled) - set(flats))
+        with pytest.raises(ValueError, match="leaves the member set"):
+            classify._dedupe_by_orbits([f for f in labeled if f != missing], 5)
 
     def test_block_key_is_least_conjugate(self):
         # every identity set up to degree 4, the prefixes {0..k-1} at degree
@@ -140,12 +127,12 @@ class TestQuandleFirst:
 
     def test_canonical_is_lex_least_relabeling_up_to_order_4(self):
         for n in range(5):
-            for flat in _rack_first(n):
-                assert classify._canonical(flat, n)[0] == _oracle_min(flat, n)
+            for flat in rack_first(n):
+                assert classify._canonical(flat, n)[0] == oracle_min(flat, n)
                 # the same table with the automorphisms, and p gives it
                 autos = _images(aut_group(classify._unflatten(flat, n)))
                 table, p, pinv = classify._canonical(flat, n, autos)
-                assert table == _oracle_min(flat, n)
+                assert table == oracle_min(flat, n)
                 assert classify._relabel(flat, n, p, pinv) == table
                 assert [p[v] for v in pinv] == list(range(n))
 
@@ -157,14 +144,14 @@ class TestQuandleFirst:
         for rack in enumerate_racks(n):
             flat = bytes(v for row in rack.tables() for v in row)
             if n == 5:
-                assert _oracle_min(flat, n) == flat
+                assert oracle_min(flat, n) == flat
             autos = _images(aut_group(rack))
             for _ in range(3):
                 p = list(range(n))
                 rng.shuffle(p)
-                assert classify._canonical(_relabeled(flat, n, p), n)[0] == flat
+                assert classify._canonical(relabel_by(flat, n, p), n)[0] == flat
                 # with aut_group moved onto the relabeled table: p a p^-1
-                relabeled = _relabeled(flat, n, p)
+                relabeled = relabel_by(flat, n, p)
                 pinv = sorted(range(n), key=p.__getitem__)
                 moved = sorted(tuple(p[a[j]] for j in pinv) for a in autos)
                 relabeled_rack = classify._unflatten(relabeled, n)
@@ -175,7 +162,7 @@ class TestQuandleFirst:
 
     @pytest.mark.parametrize("n", range(7))
     def test_enumeration_equals_rack_first_oracle(self, n):
-        oracle = _sweep_dedupe(_rack_first(n), n)
+        oracle = sweep_dedupe(rack_first(n), n)
         got = [bytes(v for row in r.tables() for v in row) for r in enumerate_racks(n)]
         assert got == oracle
 
@@ -239,7 +226,7 @@ class TestCarriedAutomorphisms:
         # Aut G(Q, u) = C_{Aut Q}(u), U(G(Q, u)) = C_{U(Q)}(u), and
         # G(Q, u) is medial exactly when Q is
         for n in range(6):
-            for flat in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
+            for flat, _aut in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
                 quandle = classify._unflatten(flat, n)
                 aut_q = aut_group(quandle)
                 u_q = gl_structures(quandle, aut_q)
@@ -253,6 +240,30 @@ class TestCarriedAutomorphisms:
                         == centralizer(u_q, [u]).elements
                     )
                     assert is_medial(rack) == medial
+
+    def test_enumerate_path_never_runs_aut_group(self, monkeypatch):
+        # every group comes from the dedupe's Aut Q; a library rack has no
+        # quandle stage and still runs aut_group once
+        expected = {n: classify_gl(n) for n in range(7)}
+        real = classify.aut_group
+
+        def failing(rack):
+            raise AssertionError("aut_group on the enumerate path")
+
+        monkeypatch.setattr(classify, "aut_group", failing)
+        for n, result in expected.items():
+            assert enumerate_racks(n) == result.racks
+            assert classify_gl(n).records == result.records
+        calls = []
+
+        def counting(rack):
+            calls.append(rack)
+            return real(rack)
+
+        monkeypatch.setattr(classify, "aut_group", counting)
+        racks = expected[4].racks
+        assert classify_gl(4, racks).records == expected[4].records
+        assert calls == racks
 
     def test_count_report_needs_a_record_per_rack(self):
         result = classify_gl(3)
@@ -331,7 +342,7 @@ class TestClassification:
         # its transvections are those of Q conjugated by u.
         identity = Permutation.identity(n)
         counts = [0] * 8
-        for flat in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
+        for flat, _aut in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
             quandle = classify._unflatten(flat, n)
             aut = aut_group(quandle)
             structures = gl_structures(quandle, aut)

@@ -142,6 +142,49 @@ class TestUnwritableOutput:
         assert err.startswith("error:") and str(tmp_path) in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["classify", "enumerate-racks"])
+    @pytest.mark.parametrize("out", ["DIR", "DIR/missing/racks.txt"])
+    def test_bad_out_fails_before_the_search(
+        self, capsys, tmp_path, monkeypatch, command, out
+    ):
+        from glracks import classify
+
+        def searched(n):
+            raise AssertionError("the search ran before --out was checked")
+
+        monkeypatch.setattr(classify, "_labeled_racks", searched)
+        out = out.replace("DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as info:
+            main([command, "-n", "7", "--long-run", "--out", out])
+        assert info.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["classify", "enumerate-racks"])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_out_is_untouched_until_the_records_are_ready(
+        self, capsys, tmp_path, monkeypatch, command, existed
+    ):
+        # the early check neither truncates an existing file nor leaves a
+        # new one behind while the search runs
+        from glracks import classify
+
+        path = tmp_path / "out.txt"
+        if existed:
+            path.write_text("old contents\n")
+        real = classify._labeled_racks
+        during = []
+
+        def searched(n):
+            during.append(path.read_text() if path.exists() else None)
+            return real(n)
+
+        monkeypatch.setattr(classify, "_labeled_racks", searched)
+        code, _out, _err = run(capsys, command, "-n", "3", "--out", str(path))
+        assert code == 0
+        assert during == ["old contents\n" if existed else None]
+        assert read_records(str(path))
+
 
 class TestClassify:
     def test_stdout_counts(self, capsys):

@@ -13,10 +13,8 @@ from glracks.racks import (
     dihedral,
     dual,
     inn_group,
-    is_left_distributive,
     is_medial,
     is_quandle,
-    is_subrack,
     medialization,
     permutation_rack,
     profile,
@@ -25,6 +23,8 @@ from glracks.racks import (
     transvection_group,
     trivial_quandle,
 )
+
+from oracles import is_left_distributive, is_subrack
 
 
 def nonmedial_quandle_4():
