@@ -14,8 +14,11 @@ it: ``classify`` calls them once per rack and holds every rack until its
 records are written, so a kept schedule would only take memory.
 ``hom_rack`` and ``hom_glrack`` put one pointwise structure
 (``_pointwise_rack``) on the hom set it returns, and refuse a hom set whose
-table would exceed ``perm.GROUP_CAP`` entries before building it.  The
-exhaustive ``|S|^|R|`` loop is kept as a test oracle behind
+table would exceed ``perm.GROUP_CAP`` entries before building it.  Hom
+racks repeat rows heavily (the 64 homs between trivial quandles of
+orders 3 and 4 give one distinct row), so building the table and checking
+it (``check_rack``, ``is_medial``) cost by distinct rows, not by points.
+The exhaustive ``|S|^|R|`` loop is kept as a test oracle behind
 ``brute_force=True``.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Callable, Optional, Sequence
 
 from . import perm
@@ -244,6 +248,9 @@ def aut_glr(gl: GLRack) -> SmallGroup:
 # ---------------------------------------------------------------------------
 # Hom racks
 
+# ``_pointwise_rack`` codes each pair ``(x, f(x))`` as one code point
+_CODE_POINTS = sys.maxunicode + 1
+
 
 def _bounded_homs(
     source: Rack, target: Rack, u: Optional[tuple[Permutation, Permutation]] = None
@@ -253,7 +260,14 @@ def _bounded_homs(
     Raises :class:`GroupTooLargeError` once there are more than
     ``isqrt(GROUP_CAP)``, whose pointwise table would hold more than
     ``GROUP_CAP`` entries; the search stops at the first hom past that.
+    Raises it before the search when the ``|source| |target|`` pairs
+    ``(x, f(x))`` outnumber the code points.
     """
+    if source.n * target.n > _CODE_POINTS:
+        raise GroupTooLargeError(
+            f"hom rack exceeds cap: {source.n} x {target.n} source-target "
+            f"pairs, more than {_CODE_POINTS} code points"
+        )
     bound = math.isqrt(perm.GROUP_CAP)
     homs = _search(source, target, injective=False, u=u, limit=bound + 1)
     if len(homs) > bound:
@@ -268,19 +282,31 @@ def _pointwise_rack(source: Rack, target: Rack, homs: list[Map]) -> Rack:
     """The rack on ``homs`` whose structure is pointwise in ``target``:
     ``t~_g(f)(x) = t_{g(x)}(f(x))``.
 
-    Raises ``AssertionError`` when a product leaves ``homs``: a hom set into
-    a medial target is closed, so that would be a bug.  The result is
+    Each hom ``f`` is the string of code points ``x*m + f(x)`` (``m`` the
+    target's order), so that a product ``g . f`` is one ``str.translate``
+    of ``f``'s string and one dict lookup; each distinct row is built once.
+    Raises ``AssertionError`` when a product leaves ``homs``: a hom set
+    into a medial target is closed, so that would be a bug.  The result is
     checked medial, and a quandle when ``source`` or ``target`` is one.
     """
-    index = {phi: i for i, phi in enumerate(homs)}
+    m = target.n
     t_rows = target.tables()
+    codes = ["".join([chr(x * m + v) for x, v in enumerate(f)]) for f in homs]
+    index = {code: i for i, code in enumerate(codes)}
+    # the row of g depends on g only through the rows t_{g(x)}
+    row_of: dict[tuple[tuple[int, ...], ...], Permutation] = {}
     s = []
     for g in homs:
-        try:
-            images = [index[tuple(t_rows[gx][fx] for gx, fx in zip(g, f))] for f in homs]
-        except KeyError:
-            raise AssertionError("a pointwise product leaves the hom set") from None
-        s.append(Permutation(images))
+        key = tuple(map(t_rows.__getitem__, g))
+        if key not in row_of:
+            # table[x*m + v] = x*m + t_{g(x)}(v)
+            table = [x * m + t for x, row in enumerate(key) for t in row]
+            try:
+                images = [index[code.translate(table)] for code in codes]
+            except KeyError:
+                raise AssertionError("a pointwise product leaves the hom set") from None
+            row_of[key] = Permutation(images)
+        s.append(row_of[key])
     rack = check_rack(len(homs), s)
     assert is_medial(rack)
     if is_quandle(source) or is_quandle(target):
@@ -295,7 +321,8 @@ def hom_rack(source: Rack, target: Rack) -> tuple[Rack, list[Map]]:
     order; the structure is pointwise: ``t~_g(f)(x) = t_{g(x)}(f(x))``.
     Returns the rack together with the carrier list.  Raises
     :class:`GroupTooLargeError` when the table would have more than
-    ``GROUP_CAP`` entries.
+    ``GROUP_CAP`` entries, or ``|source| |target|`` exceeds the number of
+    code points (see :func:`_bounded_homs`).
     """
     if not is_medial(target):
         raise ValueError("hom_rack requires a medial target rack")

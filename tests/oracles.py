@@ -9,7 +9,7 @@ only if the package's shortcuts are exact.
 import functools
 import itertools
 
-from glracks import classify
+from glracks import classify, racks
 from glracks.glrack import is_gl_structure
 from glracks.perm import symmetric_group
 
@@ -76,3 +76,42 @@ def is_subrack(rack, subset):
             if p.images[z] not in members or inv.images[z] not in members:
                 return False
     return True
+
+
+def medialization_brute(rack):
+    """The medialization with a seed for every ``(x, y, z, a)``, repeated
+    rows of ``x`` included."""
+    n = rack.n
+    rows = rack.tables()
+    seeds = []
+    for x in range(n):
+        rx = rows[x]
+        for y in range(n):
+            ry = rows[y]
+            for z in range(n):
+                rz = rows[z]
+                left = rows[rx[z]]
+                right = rows[rx[y]]
+                for a in range(n):
+                    u, v = left[ry[a]], right[rz[a]]
+                    if u != v:
+                        seeds.append((u, v))
+    labels = racks._finest_congruence(rack, seeds)
+    return racks._quotient_by_labels(rack, labels)
+
+
+def pointwise_tables(target, homs):
+    """The table of the pointwise rack on ``homs``, ``t~_g(f)(x) =
+    t_{g(x)}(f(x))``, one product tuple at a time; raises
+    ``AssertionError`` when a product leaves ``homs``."""
+    index = {phi: i for i, phi in enumerate(homs)}
+    t_rows = target.tables()
+    table = []
+    for g in homs:
+        try:
+            table.append(
+                tuple(index[tuple(t_rows[gx][fx] for gx, fx in zip(g, f))] for f in homs)
+            )
+        except KeyError:
+            raise AssertionError("a pointwise product leaves the hom set") from None
+    return tuple(table)

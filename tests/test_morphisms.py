@@ -22,7 +22,7 @@ from glracks.morphisms import (
     is_rack_hom,
     _pointwise_rack,
 )
-from glracks import classify, perm
+from glracks import classify, morphisms, perm
 from glracks.perm import GroupTooLargeError, Permutation, centralizer, parse_cycles
 from glracks.racks import (
     _SHARED,
@@ -34,6 +34,8 @@ from glracks.racks import (
     takasaki,
     trivial_quandle,
 )
+
+from oracles import pointwise_tables
 
 
 def _relabel(rack, p):
@@ -428,6 +430,69 @@ class TestHomRacks:
         gl = check_gl(source, Permutation.identity(3))
         with pytest.raises(GroupTooLargeError):
             hom_glrack(gl, gl)
+
+    def test_hom_rack_over_the_code_points_raises(self, monkeypatch):
+        # the pointwise table codes each pair (x, f(x)) as one code point
+        source = target = dihedral(3)
+        monkeypatch.setattr(morphisms, "_CODE_POINTS", 9)
+        assert len(hom_rack(source, target)[1]) == 9
+        monkeypatch.setattr(morphisms, "_CODE_POINTS", 8)
+        with pytest.raises(GroupTooLargeError):
+            hom_rack(source, target)
+        gl = check_gl(source, Permutation.identity(3))
+        with pytest.raises(GroupTooLargeError):
+            hom_glrack(gl, gl)
+
+    def test_hom_racks_agree_with_the_tuple_oracle(self, racks_by_order):
+        from glracks.classify import gl_classes
+
+        sources = [r for n in range(4) for r in racks_by_order[n]]
+        targets = [r for n in range(5) for r in racks_by_order[n] if is_medial(r)]
+        gl_targets = [check_gl(t, u) for t in targets for u, _size in gl_classes(t)]
+        sizes = set()
+        for source in sources:
+            for target in targets:
+                rack, homs = hom_rack(source, target)
+                assert homs == enumerate_homs(source, target, brute_force=True)
+                assert rack.tables() == pointwise_tables(target, homs)
+                sizes.add(rack.n)
+            for u, _size in gl_classes(source):
+                g1 = check_gl(source, u)
+                for g2 in gl_targets:
+                    gl, gl_homs = hom_glrack(g1, g2)
+                    u2 = g2.u.images
+                    assert gl_homs == [
+                        phi
+                        for phi in enumerate_homs(source, g2.rack, brute_force=True)
+                        if is_gl_hom(g1, g2, phi)
+                    ]
+                    assert gl.rack.tables() == pointwise_tables(g2.rack, gl_homs)
+                    assert gl.u.images == tuple(
+                        gl_homs.index(tuple(u2[v] for v in phi)) for phi in gl_homs
+                    )
+        assert max(sizes) == 64
+
+    def test_hom_list_missing_a_hom_fails_as_the_tuple_oracle_does(self, racks_by_order):
+        # dropping a hom leaves a subrack only when every remaining row
+        # fixes it; otherwise some product leaves the list
+        def outcome(fn, *args):
+            try:
+                result = fn(*args)
+            except AssertionError as exc:
+                return ("raised", str(exc))
+            return ("ok", result.tables() if hasattr(result, "tables") else result)
+
+        targets = [r for n in range(5) for r in racks_by_order[n] if is_medial(r)]
+        raised = 0
+        for source in racks_by_order[3]:
+            for target in targets:
+                homs = enumerate_homs(source, target)
+                for i in range(len(homs)):
+                    rest = homs[:i] + homs[i + 1 :]
+                    got = outcome(_pointwise_rack, source, target, rest)
+                    assert got == outcome(pointwise_tables, target, rest)
+                    raised += got == ("raised", "a pointwise product leaves the hom set")
+        assert raised
 
     def test_pointwise_product_leaving_the_carrier_raises(self):
         # the identity and the constant map 0 of R_3: the product of the

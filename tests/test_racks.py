@@ -24,7 +24,7 @@ from glracks.racks import (
     trivial_quandle,
 )
 
-from oracles import is_left_distributive, is_subrack
+from oracles import is_left_distributive, is_subrack, medialization_brute
 
 
 def nonmedial_quandle_4():
@@ -182,6 +182,20 @@ class TestQuotients:
             quotient, proj = medialization(rack)
             assert is_medial(quotient)
             self._check_projection(rack, quotient, proj)
+
+    def test_medialization_agrees_with_the_seed_loop(self, racks_by_order, small_racks):
+        # the hom racks repeat rows; the racks of order <= 5 include
+        # non-medial ones with repeated rows, whose quotient is proper
+        from glracks.morphisms import hom_rack
+
+        targets = [t for n in range(4) for t in racks_by_order[n] if is_medial(t)]
+        homs = [hom_rack(source, t)[0] for source in racks_by_order[3] for t in targets]
+        proper = 0
+        for rack in [r for _n, r in small_racks] + homs:
+            quotient, proj = medialization(rack)
+            assert (quotient, proj) == medialization_brute(rack)
+            proper += quotient.n < rack.n
+        assert proper and max(rack.n for rack in homs) > 5
 
     def test_quandle_quotients_to_itself(self):
         rack = dihedral(5)

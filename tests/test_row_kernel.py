@@ -152,6 +152,15 @@ def random_tables(draw):
 
 
 @st.composite
+def pooled_tables(draw):
+    """n <= 7 rows, each drawn from a pool of 1-3 random permutations, so
+    that rows repeat (random rows of order <= 5 almost never do)."""
+    n = draw(st.integers(0, 7))
+    pool = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3))
+    return n, draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
 def perturbed_racks(draw):
     """A rack of order <= 5 with one row replaced by a permutation."""
     rack = draw(st.sampled_from([r for r in RACKS if r.n]))
@@ -172,6 +181,14 @@ class TestCheckRack:
         for rack in RACKS:
             assert check_rack(rack.n, rack.tables()) == check_rack_oracle(rack.n, rack.tables())
 
+    @settings(max_examples=400, deadline=None)
+    @given(pooled_tables())
+    # rows 1 and 2 repeat row 0, and the axiom first fails at (3, 2)
+    @example((4, [(0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2)]))
+    def test_agrees_with_oracle_on_repeated_rows(self, table):
+        n, rows = table
+        assert outcome(check_rack, n, rows) == outcome(check_rack_oracle, n, rows)
+
     def test_first_failing_pair(self):
         # s_2 = (23), the others the identity: s_2 s_1 = s_2 but
         # s_{s_2(1)} s_2 = s_2 s_2 = id, so the axiom first fails at
@@ -191,6 +208,13 @@ class TestIsMedial:
     def test_agrees_with_oracle_on_any_table(self, rows):
         # the identity is defined on any table, rack or not
         table = Rack(len(rows), tuple(Permutation(row) for row in rows))
+        assert is_medial(table) == is_medial_oracle(table)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pooled_tables())
+    def test_agrees_with_oracle_on_repeated_rows(self, table):
+        n, rows = table
+        table = Rack(n, tuple(Permutation(row) for row in rows))
         assert is_medial(table) == is_medial_oracle(table)
 
     def test_agrees_on_every_rack_of_order_at_most_5(self):
