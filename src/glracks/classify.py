@@ -537,24 +537,21 @@ class ClassificationResult:
 
 
 def _classify_one_rack(
-    args: tuple[int, Rack, Optional[tuple[list[tuple[int, ...]], bool]]]
+    task: tuple[int, Rack, Optional[list[tuple[int, ...]]], Optional[bool]]
 ) -> tuple[int, list[formats.StructureRecord], Optional[str]]:
     """The records of one rack, built by :func:`formats.gl_records`.
 
     An enumerated rack comes with its GL-class representatives and medial
-    flag (see :func:`_enumerate`); for ``None`` (a library rack) the
-    classes come from :func:`aut_group` and :func:`gl_classes`.
+    flag (see :func:`_enumerate`); for a library rack both are ``None``,
+    and the classes come from :func:`aut_group` and :func:`gl_classes`.
     """
-    rack_index, rack, known = args
+    rack_index, rack, reps, medial = task
     try:
-        if known is None:
+        if reps is None:
             us = [u for u, _size in gl_classes(rack)]
-            medial = None
         else:
-            reps, medial = known
             us = [Permutation.unchecked(u) for u in reps]
-        records = formats.gl_records(rack, us, rack_index, medial)
-        return rack_index, records, None
+        return rack_index, formats.gl_records(rack, us, rack_index, medial), None
     except MemoryError as exc:
         return rack_index, [], f"rack {rack_index}: {exc}"
 
@@ -581,24 +578,22 @@ def classify_gl(
     Per-rack failures are recorded as diagnostics and make the result
     non-exhaustive rather than aborting the whole run.
 
-    With ``jobs > 1`` the per-rack work runs in a pool of that many
-    processes.  On the enumerate path that is only the record building:
-    the class walk is made once per quandle class, in this process,
-    before any rack is handed out.
+    With ``jobs > 1`` the library racks, each with its own
+    :func:`aut_group`, run in a pool of that many processes; the enumerate
+    path, whose group work is done before any rack exists, takes none.
 
     With ``checkpoint_path``, the racks already finished there are not
     redone, and this process appends each further ``CHECKPOINT_EVERY``
     finished racks (under any ``jobs``); a failed rack is not checkpointed.
     """
     if racks is None:
+        if jobs > 1:
+            raise ValueError("jobs applies only to a given rack list")
         enumerated = _enumerate(n, long_run)
         racks = [rack for rack, _reps, _medial in enumerated]
-        tasks = [
-            (i, rack, (reps, medial))
-            for i, (rack, reps, medial) in enumerate(enumerated)
-        ]
     else:
-        tasks = [(i, rack, None) for i, rack in enumerate(racks)]
+        enumerated = [(rack, None, None) for rack in racks]
+    tasks = [(i, *entry) for i, entry in enumerate(enumerated)]
 
     records: list[formats.StructureRecord] = []
     diagnostics: list[str] = []
@@ -641,12 +636,11 @@ def count_report(
     result: Optional[ClassificationResult] = None,
     *,
     long_run: bool = False,
-    jobs: int = 1,
 ) -> CountReport:
     """The eight per-order isomorphism counts; the rack counts read each
     rack's quandle and medial flags from its records."""
     if result is None:
-        result = classify_gl(n, long_run=long_run, jobs=jobs)
+        result = classify_gl(n, long_run=long_run)
     if not result.exhaustive:
         raise RuntimeError(
             "cannot report counts from a non-exhaustive classification: "

@@ -1,7 +1,7 @@
 """Command-line surface: validation, enumeration, classification, reports.
 
-Exit codes: 0 success, 1 validation failure, 2 result not exhaustive, 3 I/O
-or parse error.
+Exit codes: 0 success, 1 validation failure or usage error, 2 result not
+exhaustive, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ def cmd_classify(args) -> int:
     _classify.check_order(args.n, args.long_run)
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, not {args.jobs}", EXIT_INVALID)
+    if args.jobs > 1 and args.source == "enumerate":
+        return _fail("--jobs applies only to --source libraries", EXIT_INVALID)
     _check_out(args.out)
     racks = None
     if args.source != "enumerate":
@@ -233,10 +235,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.jobs < 1:
-        return _fail(f"--jobs must be at least 1, not {args.jobs}", EXIT_INVALID)
     try:
-        result = _classify.classify_gl(args.n, long_run=args.long_run, jobs=args.jobs)
+        result = _classify.classify_gl(args.n, long_run=args.long_run)
     except MemoryError:
         return _fail("classification ran out of memory", EXIT_NONEXHAUSTIVE)
     if not result.exhaustive:
@@ -245,8 +245,13 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # also for the subcommands' parsers
+        raise SystemExit(_fail(message, EXIT_INVALID))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glracks", description="Finite rack and GL-rack computations."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default="enumerate", help="'enumerate' or a rack-library file")
     p.add_argument("--quandles", action="store_true", help="keep only GL-quandles")
     p.add_argument("--medial", action="store_true", help="keep only medial GL-racks")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="processes for a --source library")
     p.add_argument("--long-run", action="store_true")
     p.add_argument("--checkpoint", default=None, help="append-only checkpoint file")
     p.add_argument("--out", default=None)
@@ -304,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="the eight per-order counts")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--long-run", action="store_true")
     p.set_defaults(func=cmd_count)
 

@@ -378,18 +378,19 @@ def medialization(rack: Rack) -> tuple[Rack, list[int]]:
     """Quotient by the finest congruence forcing the mediality identity.
 
     Its seeds are the pairs ``(s_{s_x(z)} s_y (a), s_{s_x(y)} s_z (a))``,
-    which depend on ``x`` only through ``s_x``, so a row equal to an
-    earlier one adds none.  Class labels are least members, so the
-    quotient does not depend on the order of the seeds.
+    and those of ``x = 0`` give the whole congruence.  As ``s_{s_x(z)} =
+    s_x s_z s_x^-1``, with ``t_y = s_0^-1 s_y`` the seeds of ``x`` say
+    ``t_z t_x^-1 t_y = t_y t_x^-1 t_z`` in the quotient.  Those of ``x = 0``
+    make the ``t_y`` commute there, which gives all the others.  Class
+    labels are least members, so the quotient does not depend on the order
+    of the seeds.
     """
     n = rack.n
     rows = rack.tables()
     seeds = []
-    for rx in dict.fromkeys(rows):
-        for y in range(n):
-            ry = rows[y]
-            for z in range(n):
-                rz = rows[z]
+    for rx in rows[:1]:
+        for y, ry in enumerate(rows):
+            for z, rz in enumerate(rows):
                 left = rows[rx[z]]
                 right = rows[rx[y]]
                 for a in range(n):

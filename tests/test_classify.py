@@ -374,6 +374,10 @@ class TestClassification:
         key = lambda rec: (rec.rack_index, rec.u)
         assert [key(r) for r in serial.records] == [key(r) for r in parallel.records]
 
+    def test_jobs_only_with_a_rack_list(self):
+        with pytest.raises(ValueError, match="rack list"):
+            classify_gl(4, jobs=2)
+
     def test_records_carry_consistent_down_maps(self, racks_by_order):
         from glracks.glrack import down_map
 

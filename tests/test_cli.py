@@ -21,6 +21,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_library(path, racks, rng):
+    """Write ``racks`` to ``path`` as a rack library, each relabeled by
+    ``rng``, in an order shuffled by ``rng``."""
+    tables = []
+    for rack in racks:
+        n = rack.n
+        p = list(range(n))
+        rng.shuffle(p)
+        table = [[0] * n for _ in range(n)]
+        for x, row in enumerate(rack.tables()):
+            for y, v in enumerate(row):
+                table[p[x]][p[y]] = p[v] + 1
+        tables.append(table)
+    rng.shuffle(tables)
+    with open(path, "w") as fh:
+        fh.write(repr(tables))
+
+
 class TestCheck:
     def test_valid_file(self, capsys, tmp_path):
         path = str(tmp_path / "ok.txt")
@@ -193,7 +211,7 @@ class TestClassify:
         assert "g=13" in out and "r_qm=3" in out
         assert out.count("\n") == 14  # 13 records + summary
 
-    @pytest.mark.parametrize("command", ["classify", "count"])
+    @pytest.mark.parametrize("command", ["classify"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, capsys, command, jobs):
         code, out, err = run(capsys, command, "-n", "3", "--jobs", jobs)
@@ -327,10 +345,44 @@ class TestClassify:
         assert proc.stderr.strip() == "error: order must be in 0..8"
 
     def test_jobs_output_identical(self, capsys, tmp_path):
+        lib = str(tmp_path / "lib.txt")
+        write_library(lib, enumerate_racks(4), random.Random(4))
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        assert run(capsys, "classify", "-n", "4", "--out", p1)[0] == 0
-        assert run(capsys, "classify", "-n", "4", "--jobs", "2", "--out", p2)[0] == 0
+        argv = ("classify", "-n", "4", "--source", lib)
+        assert run(capsys, *argv, "--out", p1)[0] == 0
+        assert run(capsys, *argv, "--jobs", "2", "--out", p2)[0] == 0
         assert open(p1).read() == open(p2).read()
+
+    def test_jobs_without_source_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "out.txt"
+        code, stdout, err = run(capsys, "classify", "-n", "4", "--jobs", "2", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "error: --jobs applies only to --source libraries\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "-n", "abc"),
+            ("classify", "-n", "3", "--bogus"),
+            (),
+            ("count", "-n", "3", "--jobs", "2"),
+        ],
+        ids=["bad-int", "unknown-option", "no-command", "count-jobs"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["count", "--help"])
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_source_library(self, capsys, tmp_path):
         lib = str(tmp_path / "lib.txt")
@@ -345,20 +397,8 @@ class TestClassify:
         # a seeded library of every order-6 rack, each relabeled, in
         # shuffled order, through classify --source and then check: the
         # pinned digests catch any change to the bytes of this path
-        rng = random.Random(6)
-        tables = []
-        for rack in enumerate_racks(6):
-            p = list(range(6))
-            rng.shuffle(p)
-            table = [[0] * 6 for _ in range(6)]
-            for x, row in enumerate(rack.tables()):
-                for y, v in enumerate(row):
-                    table[p[x]][p[y]] = p[v] + 1
-            tables.append(table)
-        rng.shuffle(tables)
         monkeypatch.chdir(tmp_path)
-        with open("lib.txt", "w") as fh:
-            fh.write(repr(tables))
+        write_library("lib.txt", enumerate_racks(6), random.Random(6))
         code, out, _err = run(
             capsys, "classify", "-n", "6", "--source", "lib.txt", "--out", "out.txt"
         )
@@ -393,10 +433,12 @@ class TestClassify:
         assert open(p1).read() == open(p2).read()
 
     def test_checkpoint_under_jobs(self, capsys, tmp_path):
+        lib = str(tmp_path / "lib.txt")
+        write_library(lib, enumerate_racks(4), random.Random(4))
         ckpt = str(tmp_path / "ckpt.txt")
         p1, p2, p3 = (str(tmp_path / f"{k}.txt") for k in "abc")
-        assert run(capsys, "classify", "-n", "4", "--out", p1)[0] == 0
-        argv = ("classify", "-n", "4", "--jobs", "2", "--checkpoint", ckpt)
+        assert run(capsys, "classify", "-n", "4", "--source", lib, "--out", p1)[0] == 0
+        argv = ("classify", "-n", "4", "--source", lib, "--jobs", "2", "--checkpoint", ckpt)
         assert run(capsys, *argv, "--out", p2)[0] == 0
         assert os.path.exists(ckpt)
         assert run(capsys, *argv, "--out", p3)[0] == 0

@@ -184,14 +184,15 @@ class TestQuotients:
             self._check_projection(rack, quotient, proj)
 
     def test_medialization_agrees_with_the_seed_loop(self, racks_by_order, small_racks):
-        # the hom racks repeat rows; the racks of order <= 5 include
+        # the hom racks repeat rows; the racks of order <= 6 include
         # non-medial ones with repeated rows, whose quotient is proper
+        from glracks.classify import enumerate_racks
         from glracks.morphisms import hom_rack
 
         targets = [t for n in range(4) for t in racks_by_order[n] if is_medial(t)]
         homs = [hom_rack(source, t)[0] for source in racks_by_order[3] for t in targets]
         proper = 0
-        for rack in [r for _n, r in small_racks] + homs:
+        for rack in [r for _n, r in small_racks] + enumerate_racks(6) + homs:
             quotient, proj = medialization(rack)
             assert (quotient, proj) == medialization_brute(rack)
             proper += quotient.n < rack.n
