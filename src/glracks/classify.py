@@ -48,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import os
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Container, Iterator, Optional, Sequence
@@ -579,8 +580,10 @@ def classify_gl(
     non-exhaustive rather than aborting the whole run.
 
     With ``jobs > 1`` the library racks, each with its own
-    :func:`aut_group`, run in a pool of that many processes; the enumerate
-    path, whose group work is done before any rack exists, takes none.
+    :func:`aut_group`, run in a pool of that many processes, but of no
+    more than the racks left to do or the CPUs, and in this process when
+    that leaves one; the enumerate path, whose group work is done before
+    any rack exists, takes none.
 
     With ``checkpoint_path``, the racks already finished there are not
     redone, and this process appends each further ``CHECKPOINT_EVERY``
@@ -602,6 +605,8 @@ def classify_gl(
         done, records = formats.read_checkpoint(checkpoint_path, racks)
         tasks = [t for t in tasks if t[0] not in done]
 
+    # no more processes than racks left to do or CPUs to run them
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         if jobs > 1:
             import multiprocessing

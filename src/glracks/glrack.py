@@ -8,10 +8,11 @@ bi-Legendrian presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .perm import Permutation, _row_getter
-from .racks import Rack, RackError, is_medial, is_quandle, theta
+from .racks import _SHARED, Rack, RackError, is_medial, is_quandle, theta
 
 __all__ = [
     "GLRack",
@@ -53,6 +54,13 @@ class GLRack:
     @property
     def n(self) -> int:
         return self.rack.n
+
+    @cached_property
+    def _u_type(self) -> tuple[int, ...]:
+        """The cycle type of ``u``, shared as the rack's row types are;
+        built on first use and kept, as ``Rack`` keeps its derived data."""
+        key = self.u.cycle_type()
+        return _SHARED.setdefault(key, key)
 
     def __repr__(self) -> str:
         return f"GLRack(rack={self.rack!r}, u={self.u})"

@@ -6,12 +6,22 @@ backtracking search ``_search``: it assigns points in index order and
 checks each constraint ``phi(s_a(b)) = t_phi(a)(phi(b))`` (and, for
 GL-racks, ``phi u_1 = u_2 phi``) as soon as all its points are assigned,
 whichever of them comes last, so every map it returns is a homomorphism.
-Which constraints each step checks depends only on the source rack, so
-that schedule is built once per :class:`~glracks.racks.Rack` and kept on
-it, as are the row cycle types that ``find_iso`` and ``find_gl_iso``
-compare.  ``aut_group`` and ``aut_glr`` build the schedule without keeping
-it: ``classify`` calls them once per rack and holds every rack until its
-records are written, so a kept schedule would only take memory.
+The search is one loop over a stack of candidate iterators, one per
+point, not a recursion, so the order of the source is not bounded by the
+interpreter's recursion limit.
+
+What a query needs of a rack alone is built on first use and kept on it:
+a :class:`~glracks.racks.Rack` keeps the schedule of which constraints
+each step checks (``_checks``), the cycle type of each row
+(``_row_types``), and their sorted multiset with the points grouped by
+type (``_type_index``), which ``find_iso`` and ``find_gl_iso`` compare
+and draw candidates from; a :class:`~glracks.glrack.GLRack` keeps the
+cycle type of ``u`` (``_u_type``).  Nothing else is kept per query: the
+candidate lists and the ``u`` constraints are built per search, since a
+query GL-rack is seldom asked twice.  ``aut_group`` and ``aut_glr``
+build the schedule without keeping it: ``classify`` calls them once per
+rack and holds every rack until its records are written, so a kept
+schedule would only take memory.
 ``hom_rack`` and ``hom_glrack`` put one pointwise structure
 (``_pointwise_rack``) on the hom set it returns, and refuse a hom set whose
 table would exceed ``perm.GROUP_CAP`` entries before building it.  Hom
@@ -88,55 +98,70 @@ def _search(
     is checked exactly once, at the step that assigns the last of its three
     points ``a``, ``b`` and ``s_a(b)``; so every result is a homomorphism.
     With ``u = (u_1, u_2)`` each ``phi(u_1(y)) = u_2(phi(y))`` is checked
-    the same way.  ``injective`` restricts to injective maps and ``limit``
-    stops once that many results are found; otherwise the search is
-    exhaustive.
+    the same way, after that step's rack constraints.  ``injective``
+    restricts to injective maps and ``limit`` stops once that many results
+    are found; otherwise the search is exhaustive.
+
+    The search is one loop over a stack of per-point candidate iterators:
+    it descends by starting the next point's iterator, and backtracks by
+    resuming the previous one where it stopped, so the order of tries is
+    that of a depth-first recursion without its call depth, and the order
+    of the source is not bounded by the recursion limit.
 
     The rack constraints come grouped by their last point from the source
     rack's ``_checks``, built on its first search and kept on it; with
-    ``store=False`` they are built for this search alone.
+    ``store=False`` they are built for this search alone.  The ``u``
+    constraints are built per search, and only when ``u`` is given: each
+    pair ``(y, u_1(y))`` joins the step of its later point as the triple
+    ``(n, y, u_1(y))``, where the extra entry ``phi[n] = m`` names the
+    extra target row ``u_2``, so one check loop serves both kinds.
     """
     n, m = source.n, target.n
+    # checks[x]: the constraints whose last-assigned point is x
+    checks: Sequence[Sequence[tuple[int, int, int]]]
+    checks = source._checks if store else _schedule(source.tables())
+    if n == 0:
+        return [()]
     if candidates is None:
         candidates = [range(m)] * n
     t_rows = target.tables()
-    # checks[x]: the constraints whose last-assigned point is x
-    checks = source._checks if store else _schedule(source.tables())
-    u_checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    u2: Sequence[int] = ()
-    if u is not None:
-        u2 = u[1].images
-        for y, w in enumerate(u[0].images):
-            u_checks[max(y, w)].append((y, w))
     phi = [0] * n
+    if u is not None:
+        steps = list(checks)
+        for y, w in enumerate(u[0].images):
+            steps[max(y, w)] += ((n, y, w),)
+        checks = steps
+        t_rows += (u[1].images,)
+        phi.append(m)
+    # used[v]: v is an image of phi[:x]; only an injective search marks it
     used = [False] * m
+    last = n - 1
     results: list[Map] = []
-
-    def extend(x: int) -> bool:
-        """Extend phi[:x]; True once ``limit`` results are found."""
-        if x == n:
-            results.append(tuple(phi))
-            return len(results) == limit
-        for v in candidates[x]:
-            if injective and used[v]:
+    tries = [iter(candidates[0])] + [iter(())] * last
+    x = 0
+    while True:
+        for v in tries[x]:
+            if used[v]:
                 continue
             phi[x] = v
             for a, b, c in checks[x]:
                 if phi[c] != t_rows[phi[a]][phi[b]]:
                     break
             else:
-                for y, w in u_checks[x]:
-                    if phi[w] != u2[phi[y]]:
-                        break
-                else:
-                    used[v] = True
-                    if extend(x + 1):
-                        return True
-                    used[v] = False
-        return False
-
-    extend(0)
-    return results
+                if x < last:
+                    used[v] = injective
+                    x += 1
+                    tries[x] = iter(candidates[x])
+                    break
+                results.append(tuple(phi[:n]))
+                if len(results) == limit:
+                    return results
+        else:
+            # every candidate of x is tried: resume the point before it
+            if x == 0:
+                return results
+            x -= 1
+            used[phi[x]] = False
 
 
 def enumerate_homs(
@@ -164,17 +189,13 @@ def _iso_candidates(source: Rack, target: Rack) -> Optional[list[list[int]]]:
     has the cycle type of ``s_x``, ascending; ``None`` when the multisets of
     cycle types differ, so that no isomorphism exists.
 
-    Each rack's row cycle types are computed once and kept on it: the
-    candidate lists are the groups of one dict keyed by the target types.
+    Both come from each rack's ``_type_index``, built once and kept on it.
     """
-    s_keys = source._row_types
-    t_keys = target._row_types
-    if sorted(s_keys) != sorted(t_keys):
+    s_types, _ = source._type_index
+    t_types, t_points = target._type_index
+    if s_types != t_types:
         return None
-    by_key: dict[tuple[int, ...], list[int]] = {}
-    for v, key in enumerate(t_keys):
-        by_key.setdefault(key, []).append(v)
-    return [by_key[key] for key in s_keys]
+    return list(map(t_points.__getitem__, source._row_types))
 
 
 def find_iso(source: Rack, target: Rack) -> Optional[Permutation]:
@@ -190,7 +211,8 @@ def find_iso(source: Rack, target: Rack) -> Optional[Permutation]:
     if candidates is None:
         return None
     found = _search(source, target, candidates, injective=True, limit=1)
-    return Permutation(found[0]) if found else None
+    # an injective map between carriers of one size is a bijection
+    return Permutation.unchecked(found[0]) if found else None
 
 
 def is_isomorphic(source: Rack, target: Rack) -> bool:
@@ -227,7 +249,7 @@ def find_gl_iso(g1: GLRack, g2: GLRack) -> Optional[Permutation]:
     Fast-rejects on order, on the cycle type of ``u`` and on the multiset
     of ``s_x`` cycle types, then searches as :func:`find_iso` does.
     """
-    if g1.n != g2.n or g1.u.cycle_type() != g2.u.cycle_type():
+    if g1.n != g2.n or g1._u_type != g2._u_type:
         return None
     candidates = _iso_candidates(g1.rack, g2.rack)
     if candidates is None:
@@ -235,7 +257,7 @@ def find_gl_iso(g1: GLRack, g2: GLRack) -> Optional[Permutation]:
     found = _search(
         g1.rack, g2.rack, candidates, injective=True, u=(g1.u, g2.u), limit=1
     )
-    return Permutation(found[0]) if found else None
+    return Permutation.unchecked(found[0]) if found else None
 
 
 def aut_glr(gl: GLRack) -> SmallGroup:

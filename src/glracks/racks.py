@@ -64,11 +64,11 @@ class SelfDistributivityError(RackError):
 
 _Schedule = tuple[tuple[tuple[int, int, int], ...], ...]
 
-# One tuple per value for the small tuples that racks keep: schedule
-# triples (at most n^3 of order n), cycle types, and schedule steps, which
-# repeat across racks and relabelings; so a kept schedule is mostly
-# pointers.  The table only grows, by the new steps of each rack that keeps
-# a schedule.
+# One tuple per value for the small tuples that racks and GL-racks keep:
+# schedule triples (at most n^3 of order n), cycle types, multisets of row
+# cycle types, and schedule steps, which repeat across racks and
+# relabelings; so a kept schedule is mostly pointers.  The table only
+# grows, by the new steps and multisets of each rack that keeps them.
 _SHARED: dict[tuple, tuple] = {}
 
 
@@ -111,6 +111,17 @@ class Rack:
         """The cycle type of each ``s_x``, in row order."""
         share = _SHARED.setdefault
         return tuple(share(t, t) for t in map(row_cycle_type, self.tables()))
+
+    @cached_property
+    def _type_index(self) -> tuple[tuple, dict[tuple[int, ...], list[int]]]:
+        """The sorted multiset of row cycle types, shared, and the points
+        of each type, ascending: what ``morphisms.find_iso`` compares and
+        searches by."""
+        points: dict[tuple[int, ...], list[int]] = {}
+        for x, key in enumerate(self._row_types):
+            points.setdefault(key, []).append(x)
+        types = tuple(sorted(self._row_types))
+        return _SHARED.setdefault(types, types), points
 
     def __repr__(self) -> str:
         return f"Rack(n={self.n}, s={[str(p) for p in self.s]})"

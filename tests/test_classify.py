@@ -374,6 +374,59 @@ class TestClassification:
         key = lambda rec: (rec.rack_index, rec.u)
         assert [key(r) for r in serial.records] == [key(r) for r in parallel.records]
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, racks, pool",
+        [
+            (100_000, 4, 19, 4),
+            (100_000, 64, 19, 19),
+            (3, 64, 19, 3),
+            (8, 1, 19, None),
+            (8, 64, 1, None),
+            (8, None, 19, None),
+        ],
+    )
+    def test_jobs_open_at_most_one_process_per_rack_and_cpu(
+        self, racks_by_order, monkeypatch, jobs, cpus, racks, pool
+    ):
+        # the fake pool maps in this process, so no process is started
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+        rack_list = racks_by_order[4][:racks]
+        result = classify_gl(4, rack_list, jobs=jobs)
+        assert sizes == ([] if pool is None else [pool])
+        assert result.records == classify_gl(4, rack_list).records
+
+    def test_jobs_open_no_pool_for_a_finished_checkpoint(
+        self, racks_by_order, monkeypatch, tmp_path
+    ):
+        import multiprocessing
+
+        def no_pool(processes):
+            raise AssertionError(f"a pool of {processes} for no racks")
+
+        ckpt = str(tmp_path / "ckpt")
+        done = classify_gl(4, racks_by_order[4], checkpoint_path=ckpt)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        resumed = classify_gl(4, racks_by_order[4], jobs=8, checkpoint_path=ckpt)
+        assert resumed.records == done.records
+
     def test_jobs_only_with_a_rack_list(self):
         with pytest.raises(ValueError, match="rack list"):
             classify_gl(4, jobs=2)

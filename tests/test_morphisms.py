@@ -1,6 +1,9 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -205,8 +208,9 @@ def _cache_cases(racks_by_order):
 
 
 class TestSearchCache:
-    """Each rack keeps its search schedule and row cycle types once built;
-    what it keeps must equal a fresh build and depend on nothing else."""
+    """Each rack keeps its search schedule, row cycle types and type index
+    once built, and each GL-rack the cycle type of ``u``; what they keep
+    must equal a fresh build and depend on nothing else."""
 
     def test_cached_data_equals_a_fresh_build(self, racks_by_order):
         for rack in _cache_cases(racks_by_order):
@@ -220,6 +224,20 @@ class TestSearchCache:
             for step in copy._checks:
                 assert _SHARED[step] is step
                 assert all(_SHARED[t] is t for t in step)
+
+    def test_type_index_equals_a_fresh_grouping(self, racks_by_order):
+        for rack in _cache_cases(racks_by_order):
+            copy = _fresh(rack)
+            types, points = copy._type_index
+            cycle_types = [p.cycle_type() for p in rack.s]
+            assert types == tuple(sorted(cycle_types))
+            assert points == {
+                key: [x for x in range(rack.n) if cycle_types[x] == key]
+                for key in set(cycle_types)
+            }
+            # built once, with the multiset shared
+            assert copy._type_index is copy._type_index
+            assert _SHARED[types] is types
 
     def test_shuffled_queries_match_fresh_copies(self, racks_by_order):
         rng = random.Random(24)
@@ -266,7 +284,49 @@ class TestSearchCache:
             assert loaded == rack and hash(loaded) == hash(rack)
             assert loaded._checks == _schedule_oracle(rack)
             assert loaded._row_types == filled._row_types
+            assert loaded._type_index == filled._type_index
             assert find_iso(loaded, filled) == Permutation.identity(rack.n)
+
+    def test_filled_gl_cache_keeps_u_type_equality_hash_and_pickling(
+        self, racks_by_order
+    ):
+        for rack in racks_by_order[4] + racks_by_order[5]:
+            for u, _size in classify.gl_classes(rack):
+                gl = check_gl(rack, u)
+                filled = check_gl(_fresh(rack), u)
+                assert find_gl_iso(filled, gl) == Permutation.identity(rack.n)
+                # kept, shared, and the cycle type of u
+                assert vars(filled)["_u_type"] is filled._u_type
+                assert _SHARED[filled._u_type] is filled._u_type
+                assert filled._u_type == u.cycle_type()
+                assert filled == gl and hash(filled) == hash(gl)
+                loaded = pickle.loads(pickle.dumps(filled))
+                assert loaded == gl and hash(loaded) == hash(gl)
+                assert loaded._u_type == u.cycle_type()
+                assert find_gl_iso(loaded, filled) == Permutation.identity(rack.n)
+
+
+class TestSearchDepth:
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # one search step per source point: 300 points under a recursion
+        # limit of 200
+        code = (
+            "import sys\n"
+            "from glracks.morphisms import enumerate_homs, find_iso\n"
+            "from glracks.racks import trivial_quandle\n"
+            "big, point = trivial_quandle(300), trivial_quandle(1)\n"
+            "sys.setrecursionlimit(200)\n"
+            "print(enumerate_homs(big, point) == [(0,) * 300])\n"
+            "print(find_iso(big, big).images == tuple(range(300)))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
 
 class TestAutGroups:
@@ -298,6 +358,29 @@ class TestAutGroups:
         assert group.order == 6
         for g in group.elements:
             assert is_rack_hom(rack, rack, g.images)
+
+    def test_aut_group_is_the_ordered_filter_of_s_n(self, small_racks):
+        # the exhaustive search path: every automorphism, in lexicographic
+        # order, and nothing else
+        for n, rack in small_racks:
+            expected = [
+                phi
+                for phi in itertools.permutations(range(n))
+                if is_rack_hom(rack, rack, phi)
+            ]
+            assert [g.images for g in aut_group(rack).elements] == expected
+
+    def test_aut_glr_is_the_ordered_filter_of_s_n(self, racks_by_order):
+        for n in range(5):
+            for rack in racks_by_order[n]:
+                for u, _size in classify.gl_classes(rack):
+                    gl = check_gl(rack, u)
+                    expected = [
+                        phi
+                        for phi in itertools.permutations(range(n))
+                        if is_gl_hom(gl, gl, phi)
+                    ]
+                    assert [g.images for g in aut_glr(gl).elements] == expected
 
     def test_aut_closed_under_composition(self, racks_by_order):
         for rack in racks_by_order[3]:
