@@ -8,9 +8,10 @@ Every GL record is made by one builder, :func:`gl_records`: it checks ``u``
 and derives the down map ``d = theta^-1 u^-1`` and the flags (Legendrian,
 ``theta = u^-2``, exactly when ``d = u``) from the table's cached
 ``theta^-1``, quandle and medial checks.  A read checks each stored record
-against the same builder, and keeps its per-read work (each distinct
-``s=`` text parsed once, each distinct table checked once) inside this
-module; :func:`read_racks` hands each record over with its checked rack.
+by the same step, and keeps its per-read work (each distinct ``s=``,
+``u=`` and ``d=`` text parsed once, each distinct table checked once)
+inside this module; :func:`read_racks` hands each record over with its
+checked rack.  A write formats each distinct table and array once.
 """
 
 from __future__ import annotations
@@ -65,12 +66,22 @@ def _read_lines(path: str) -> list[str]:
         raise EncodingError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
+# the one GLFlags object of each value, shared by every record built or read
+_FLAGS = {
+    (q, m, l): GLFlags(q, m, l)
+    for q in (False, True)
+    for m in (False, True)
+    for l in (False, True)
+}
+
+
 class _Table:
     """One rack table ``(n, s)`` with the checks made on it: ``check_rack``
     (its rack, or the error it raised; a rack already checked is taken as
     it is), and ``theta^-1`` and ``is_quandle`` and ``is_medial``, each made
     when first asked for.  :meth:`record` builds the record of a
-    GL-structure on the table, and :meth:`validate` checks a stored one."""
+    GL-structure on the table, and :meth:`validate` checks a stored one;
+    both go through :meth:`_derive`."""
 
     def __init__(self, n: int, s, rack: Optional[Rack] = None) -> None:
         self.n = n
@@ -89,36 +100,44 @@ class _Table:
         return self._rack
 
     @cached_property
-    def theta_inv(self) -> Permutation:
-        return theta(self.rack).inverse()
+    def theta_inv(self) -> tuple[int, ...]:
+        return theta(self.rack).inverse().images
 
     @cached_property
     def quandle_medial(self) -> tuple[bool, bool]:
         return is_quandle(self.rack), is_medial(self.rack)
 
+    def _derive(self, u: Permutation) -> tuple[tuple[int, ...], GLFlags]:
+        """Check ``u`` (:func:`check_gl`), and derive its down map
+        ``d = theta^-1 u^-1`` and its flags from image tuples."""
+        check_gl(self.rack, u)
+        ui = u.images
+        # d(u(x)) = theta^-1(x)
+        d = tuple(map(dict(zip(ui, self.theta_inv)).__getitem__, range(self.n)))
+        # Legendrian, theta = u^-2, exactly when the down map is u
+        return d, _FLAGS[(*self.quandle_medial, d == ui)]
+
     def record(
         self, u: Permutation, rack_index: Optional[int] = None
     ) -> StructureRecord:
-        """The record of the GL-structure ``u`` (checked by :func:`check_gl`):
-        its down map ``d = theta^-1 u^-1`` and its flags."""
-        check_gl(self.rack, u)
-        d = self.theta_inv * u.inverse()
-        quandle, medial = self.quandle_medial
-        # Legendrian, theta = u^-2, exactly when the down map is u
-        fl = GLFlags(quandle, medial, d == u)
-        return StructureRecord(self.n, self.s, u.images, d.images, fl, rack_index)
+        """The record of the GL-structure ``u``: its down map and flags."""
+        d, fl = self._derive(u)
+        return StructureRecord(self.n, self.s, u.images, d, fl, rack_index)
 
-    def validate(self, record: StructureRecord) -> None:
-        """Check ``record``, a record of this table, against :meth:`record`."""
+    def validate(self, record: StructureRecord, parsed: bool = True) -> None:
+        """Check ``record``, a record of this table: its ``u``, and its
+        ``d`` and flags against those :meth:`_derive` gives.  A ``parsed``
+        record's ``u`` is known to be a bijection; any other's is checked."""
         self.rack  # raises for a table that is not a rack
         if record.u is not None:
-            built = self.record(Permutation(record.u))
-            if record.d is not None and built.d != tuple(record.d):
+            u = Permutation.unchecked(record.u) if parsed else Permutation(record.u)
+            d, fl = self._derive(u)
+            if record.d is not None and d != tuple(record.d):
                 raise RecordFormatError(
                     f"stored d {_one_based(record.d)} != derived down map "
-                    f"{_one_based(built.d)}"
+                    f"{_one_based(d)}"
                 )
-            if record.flags is not None and built.flags != record.flags:
+            if record.flags is not None and fl != record.flags:
                 raise RecordFormatError("stored flags disagree with recomputation")
         elif record.d is not None:
             raise RecordFormatError("d present without u")
@@ -147,25 +166,31 @@ def gl_records(
 class _RackTables:
     """The table-level work on the records of one file read.
 
-    Each distinct ``s=`` text under each ``n`` is parsed once, to one
-    ``s`` tuple that all its records share (or to the error it raised,
-    re-raised for every later line with that text), and each distinct
-    table ``(n, s)`` is checked once (:class:`_Table`).  A results file
-    repeats each rack table once per GL-structure on it.
+    Each distinct ``s=``, ``u=`` and ``d=`` text under each ``n`` is parsed
+    once, to one tuple that all its records share (or to the error it
+    raised, re-raised for every later line with that text), and each
+    distinct table ``(n, s)`` is checked once (:class:`_Table`).  A results
+    file repeats each rack table once per GL-structure on it, and each
+    ``u`` and ``d`` array across tables.
     """
 
     def __init__(self) -> None:
-        self._texts: dict = {}  # (n, s= text) -> s, or its RecordFormatError
+        # (field, n, text) -> its parsed tuple, or its RecordFormatError
+        self._texts: dict = {}
         self._tables: dict[tuple, _Table] = {}
 
-    def parse(self, n: int, text: str) -> tuple[tuple[int, ...], ...]:
-        found = self._texts.get((n, text))
+    def parse(self, what: str, n: int, text: str) -> tuple:
+        key = (what, n, text)
+        found = self._texts.get(key)
         if found is None:
             try:
-                found = _parse_table(n, text)
+                if what == "s":
+                    found = _parse_table(n, text)
+                else:
+                    found = _parse_images(text, n, what)
             except RecordFormatError as exc:
                 found = exc
-            self._texts[n, text] = found
+            self._texts[key] = found
         if isinstance(found, RecordFormatError):
             raise found.with_traceback(None)
         return found
@@ -205,7 +230,7 @@ class StructureRecord:
 
     def validate(self) -> None:
         """Full cross-check; raises on any inconsistency."""
-        _Table(self.n, self.s).validate(self)
+        _Table(self.n, self.s).validate(self, parsed=False)
 
 
 def _one_based(images: Sequence[int]) -> str:
@@ -230,6 +255,7 @@ def _parse_table(n: int, text: str) -> tuple[tuple[int, ...], ...]:
 
 
 _BOOL = {"0": False, "1": True, "true": True, "false": False}
+_FLAG_KEYS = ("quandle", "medial", "legendrian")
 
 
 def parse_record_line(line: str) -> StructureRecord:
@@ -238,9 +264,9 @@ def parse_record_line(line: str) -> StructureRecord:
 
 
 def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
-    """The record of one line; ``tables`` holds the ``s=`` texts already
-    parsed in the same file read, and the other fields are parsed every
-    time."""
+    """The record of one line; ``tables`` holds the ``s=``, ``u=`` and
+    ``d=`` texts already parsed in the same file read, and the other
+    fields are parsed every time."""
     fields: dict[str, str] = {}
     for token in line.split():
         if "=" not in token:
@@ -255,9 +281,9 @@ def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
         n = int(fields.pop("n"))
     except ValueError as exc:
         raise RecordFormatError("bad n field") from exc
-    s = tables.parse(n, fields.pop("s"))
-    u = _parse_images(fields.pop("u"), n, "u") if "u" in fields else None
-    d = _parse_images(fields.pop("d"), n, "d") if "d" in fields else None
+    s = tables.parse("s", n, fields.pop("s"))
+    u = tables.parse("u", n, fields.pop("u")) if "u" in fields else None
+    d = tables.parse("d", n, fields.pop("d")) if "d" in fields else None
     rack_index = None
     if "rack" in fields:
         try:
@@ -265,16 +291,12 @@ def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
         except ValueError as exc:
             raise RecordFormatError("bad rack field") from exc
     fl = None
-    flag_keys = ("quandle", "medial", "legendrian")
-    if any(k in fields for k in flag_keys):
-        if not all(k in fields for k in flag_keys):
+    flag_texts = [fields.pop(k, None) for k in _FLAG_KEYS]
+    if flag_texts != [None, None, None]:
+        if None in flag_texts:
             raise RecordFormatError("flags must be given all together or not at all")
         try:
-            fl = GLFlags(
-                gl_quandle=_BOOL[fields.pop("quandle").lower()],
-                medial=_BOOL[fields.pop("medial").lower()],
-                legendrian=_BOOL[fields.pop("legendrian").lower()],
-            )
+            fl = _FLAGS[tuple(map(_BOOL.__getitem__, map(str.lower, flag_texts)))]
         except KeyError as exc:
             raise RecordFormatError(f"bad flag value: {exc}") from exc
     if fields:
@@ -283,37 +305,50 @@ def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
 
 
 def format_record_line(record: StructureRecord) -> str:
-    return _format_line(record, _format_table(record.s))
+    return _format_line(record, _format_table, _one_based)
 
 
 def format_record_lines(records: Iterable[StructureRecord]) -> Iterator[str]:
-    """The line of each record, the ``s=`` text of each distinct table
-    formatted once."""
-    texts: dict = {}
+    """The line of each record, the ``s=`` text of each distinct table and
+    the text of each distinct ``u`` or ``d`` array formatted once."""
+    table_text = _kept(_format_table)
+    array_text = _kept(_one_based)
     for record in records:
-        s = record.s
+        yield _format_line(record, table_text, array_text)
+
+
+def _kept(format_text):
+    """``format_text`` with each text kept by its value; a value given as
+    lists, which cannot key the texts, is formatted each time."""
+    texts: dict = {}
+
+    def text(value) -> str:
         try:
-            s_text = texts.get(s)
-        except TypeError:  # rows given as lists
-            s_text = _format_table(s)
-        if s_text is None:
-            s_text = texts[s] = _format_table(s)
-        yield _format_line(record, s_text)
+            found = texts.get(value)
+        except TypeError:  # given as lists
+            return format_text(value)
+        if found is None:
+            found = texts[value] = format_text(value)
+        return found
+
+    return text
 
 
 def _format_table(s) -> str:
     return ";".join(_one_based(row) for row in s)
 
 
-def _format_line(record: StructureRecord, s_text: str) -> str:
+def _format_line(record: StructureRecord, table_text, array_text) -> str:
+    """The line of ``record``, its ``s`` formatted by ``table_text`` and
+    its ``u`` and ``d`` by ``array_text``."""
     parts = [f"n={record.n}"]
     if record.rack_index is not None:
         parts.append(f"rack={record.rack_index}")
-    parts.append("s=" + s_text)
+    parts.append("s=" + table_text(record.s))
     if record.u is not None:
-        parts.append("u=" + _one_based(record.u))
+        parts.append("u=" + array_text(record.u))
     if record.d is not None:
-        parts.append("d=" + _one_based(record.d))
+        parts.append("d=" + array_text(record.d))
     if record.flags is not None:
         parts.append(f"quandle={int(record.flags.gl_quandle)}")
         parts.append(f"medial={int(record.flags.medial)}")
@@ -327,8 +362,9 @@ def scan_records(path: str) -> Iterator[tuple[int, StructureRecord | ValueError]
 
     The whole file is read before this returns, so ``OSError``, or
     :class:`EncodingError` when it is not UTF-8, comes before any line.
-    Each distinct rack table is parsed and checked once per call; ``u``,
-    ``d`` and the flags once per record.
+    Each distinct rack table is parsed and checked once per call, and
+    each distinct ``u=`` and ``d=`` text parsed once; ``u``, ``d`` and
+    the flags are checked once per record.
     """
     return _scan_lines(_read_lines(path), _RackTables())
 

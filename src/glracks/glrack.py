@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .perm import Permutation, _row_getter
+from .perm import Permutation
 from .racks import _SHARED, Rack, RackError, is_medial, is_quandle, theta
 
 __all__ = [
@@ -79,23 +79,29 @@ def check_gl(rack: Rack, u: Permutation) -> GLRack:
     Raises :class:`NotAutomorphismError` at the first ``x`` where
     ``u s_x != s_u(x) u``, else :class:`DoesNotCommuteError` at the first
     ``x`` where ``u s_x != s_x u``.
+
+    Both tests compare whole rows: ``(u s_x)_x == (s_{u(x)} u)_x`` and
+    ``(u s_x)_x == (s_x u)_x``, each one comparison of tuples built in C.
+    Only when one fails are the rows scanned for the first failing ``x``.
     """
     if u.degree != rack.n:
         raise GLRackError(f"u has degree {u.degree}, rack has order {rack.n}")
     ui = u.images
-    rows = rack.tables()
-    # the rows of u s_x and s_x u, each built in C by a getter: one per row
-    # for u s_x, and for s_x u the one getter of u; below two points u is
-    # the identity, so u s_x is s_x
-    then_u = _row_getter(ui)
-    u_s = [itemgetter(*rx)(ui) for rx in rows] if rack.n > 1 else rows
-    s_u = [then_u(rx) for rx in rows]
-    for x, row in enumerate(u_s):
-        if row != s_u[ui[x]]:
-            raise NotAutomorphismError(x)
-    for x, row in enumerate(u_s):
-        if row != s_u[x]:
-            raise DoesNotCommuteError(x)
+    # below two points u is the identity
+    if rack.n > 1:
+        rows = rack.tables()
+        # the rows of u s_x, one getter per row, and of s_x u, the one
+        # getter of u; that getter also lists the rows s_{u(x)} u in x order
+        then_u = itemgetter(*ui)
+        u_s = tuple([itemgetter(*rx)(ui) for rx in rows])
+        s_u = tuple(map(then_u, rows))
+        if u_s != s_u or u_s != then_u(s_u):
+            for x, row in enumerate(u_s):
+                if row != s_u[ui[x]]:
+                    raise NotAutomorphismError(x)
+            for x, row in enumerate(u_s):
+                if row != s_u[x]:
+                    raise DoesNotCommuteError(x)
     return GLRack(rack, u)
 
 

@@ -21,7 +21,10 @@ candidate lists and the ``u`` constraints are built per search, since a
 query GL-rack is seldom asked twice.  ``aut_group`` and ``aut_glr``
 build the schedule without keeping it: ``classify`` calls them once per
 rack and holds every rack until its records are written, so a kept
-schedule would only take memory.
+schedule would only take memory.  They draw each point's candidates from
+the points whose row has the same cycle type (``_type_candidates``),
+which is exact since ``s_phi(x) = phi s_x phi^-1``; the grouping too is
+built per call, and nothing is kept on the rack.
 ``hom_rack`` and ``hom_glrack`` put one pointwise structure
 (``_pointwise_rack``) on the hom set it returns, and refuse a hom set whose
 table would exceed ``perm.GROUP_CAP`` entries before building it.  Hom
@@ -41,7 +44,7 @@ from typing import Callable, Optional, Sequence
 
 from . import perm
 from .glrack import GLRack, check_gl
-from .perm import GroupTooLargeError, Permutation, SmallGroup
+from .perm import GroupTooLargeError, Permutation, SmallGroup, row_cycle_type
 from .racks import Rack, _schedule, check_rack, is_medial, is_quandle
 
 __all__ = [
@@ -219,9 +222,23 @@ def is_isomorphic(source: Rack, target: Rack) -> bool:
     return find_iso(source, target) is not None
 
 
+def _type_candidates(rack: Rack) -> list[list[int]]:
+    """For each point ``x``, the points whose row has the cycle type of
+    ``s_x``, ascending: the only images an automorphism ``phi`` can give
+    ``x``, since ``s_phi(x) = phi s_x phi^-1``.  Built per call from the
+    distinct rows and not kept on the rack (see the module docstring)."""
+    rows = rack.tables()
+    types = {row: row_cycle_type(row) for row in dict.fromkeys(rows)}
+    keys = list(map(types.__getitem__, rows))
+    points: dict[tuple[int, ...], list[int]] = {}
+    for x, key in enumerate(keys):
+        points.setdefault(key, []).append(x)
+    return list(map(points.__getitem__, keys))
+
+
 def aut_group(rack: Rack) -> SmallGroup:
     """All rack automorphisms, materialized as a :class:`SmallGroup`."""
-    autos = _search(rack, rack, injective=True, store=False)
+    autos = _search(rack, rack, _type_candidates(rack), injective=True, store=False)
     elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(rack.n, elements, elements)
 
@@ -262,7 +279,14 @@ def find_gl_iso(g1: GLRack, g2: GLRack) -> Optional[Permutation]:
 
 def aut_glr(gl: GLRack) -> SmallGroup:
     """The GL-rack automorphism group, ``C_{Aut R}(u)``."""
-    autos = _search(gl.rack, gl.rack, injective=True, u=(gl.u, gl.u), store=False)
+    autos = _search(
+        gl.rack,
+        gl.rack,
+        _type_candidates(gl.rack),
+        injective=True,
+        u=(gl.u, gl.u),
+        store=False,
+    )
     elements = tuple(Permutation.unchecked(phi) for phi in autos)
     return SmallGroup(gl.n, elements, elements)
 

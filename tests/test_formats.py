@@ -1,7 +1,12 @@
+import functools
 import os
 import re
+import tempfile
+from dataclasses import astuple, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glracks.classify import classify_gl, enumerate_racks
 from glracks.formats import (
@@ -21,7 +26,11 @@ from glracks.formats import (
     scan_records,
     write_records,
 )
-from glracks.racks import dihedral, trivial_quandle
+from glracks.glrack import GLFlags, GLRack, GLRackError, down_map, flags
+from glracks.perm import Permutation
+from glracks.racks import check_rack, dihedral, trivial_quandle
+
+from test_row_kernel import check_gl_oracle
 
 
 class TestRecordLines:
@@ -76,6 +85,13 @@ class TestRecordLines:
 
     def test_validate_accepts_image_lists(self):
         StructureRecord(n=2, s=[[1, 0], [1, 0]], u=[0, 1], d=[1, 0]).validate()
+
+    def test_validate_rejects_a_u_that_is_no_bijection(self):
+        # on the trivial quandle u = (0, 0) passes both row tests, so only
+        # the bijection check of a record built by hand refuses it
+        record = StructureRecord(n=2, s=((0, 1), (0, 1)), u=(0, 0), d=(0, 1))
+        with pytest.raises(ValueError, match="not a bijection"):
+            record.validate()
 
     def test_validate_catches_wrong_flags(self):
         line = "n=2 s=1,2;1,2 u=1,2 d=1,2 quandle=0 medial=1 legendrian=1"
@@ -261,9 +277,89 @@ class TestOneParsePerTable:
     def test_lines_are_formatted_as_one_at_a_time(self, racks_by_order):
         records = classify_gl(4, racks_by_order[4]).records
         records.append(StructureRecord(n=2, s=[[1, 0], [1, 0]], u=[0, 1]))
+        # rows, u and d given as lists cannot key the formatted texts
+        listed = StructureRecord(n=2, s=[[1, 0], [1, 0]], u=[0, 1], d=[1, 0])
+        records += [listed, listed]
         assert list(format_record_lines(records)) == [
             format_record_line(record) for record in records
         ]
+
+    def test_bad_u_text_is_reported_on_each_line(self, tmp_path):
+        bad = "n=2 s=2,1;2,1 u=1,1 d=2,1\n"
+        good = "n=2 s=2,1;2,1 u=1,2 d=2,1\n"
+        bad_d = "n=2 s=2,1;2,1 u=1,2 d=1,1\n"
+        scanned = self.scan(tmp_path, bad + good + bad + bad + bad_d)
+        message = "u array '1,1' is not 1-based over 1..2"
+        assert scanned[1] == scanned[3] == scanned[4] == message
+        assert isinstance(scanned[2], StructureRecord)
+        # the same text as a d array is a d error
+        assert scanned[5] == "d array '1,1' is not 1-based over 1..2"
+
+    def test_records_share_each_u_and_d_array(self, tmp_path, racks_by_order):
+        path = str(tmp_path / "records.txt")
+        write_records(path, classify_gl(4, racks_by_order[4]).records)
+        arrays = {"u": {}, "d": {}}
+        for record in read_records(path):
+            assert arrays["u"].setdefault(record.u, record.u) is record.u
+            assert arrays["d"].setdefault(record.d, record.d) is record.d
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_records(n):
+    return tuple(classify_gl(n, enumerate_racks(n)).records)
+
+
+def _oracle_outcome(record):
+    """What a read must make of ``record``: the record, or the text of its
+    error, from the element-wise GL check, ``down_map`` and ``flags``."""
+    rack = check_rack(record.n, record.s)
+    u = Permutation(record.u)
+    try:
+        check_gl_oracle(rack, u)
+    except GLRackError as exc:
+        return str(exc)
+    gl = GLRack(rack, u)
+    d = down_map(gl).images
+    if d != record.d:
+        return (
+            f"stored d {','.join(str(i + 1) for i in record.d)} != derived "
+            f"down map {','.join(str(i + 1) for i in d)}"
+        )
+    if flags(gl) != record.flags:
+        return "stored flags disagree with recomputation"
+    return record
+
+
+class TestRecordOracle:
+    """A read gives each line the outcome that the element-wise oracles
+    give it, whatever the caches have seen on earlier lines."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_scan_matches_the_oracle(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        pool = _valid_records(n)
+        perms = st.permutations(range(n)).map(tuple)
+        records = []
+        for _ in range(data.draw(st.integers(1, 8), label="lines")):
+            record = data.draw(st.sampled_from(pool))
+            change = data.draw(st.sampled_from(["none", "u", "d", "flags"]))
+            if change in ("u", "d"):
+                record = replace(record, **{change: data.draw(perms)})
+            elif change == "flags":
+                values = list(astuple(record.flags))
+                flip = data.draw(st.sampled_from(range(3)))
+                values[flip] = not values[flip]
+                record = replace(record, flags=GLFlags(*values))
+            records.append(record)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.txt")
+            write_records(path, records)
+            scanned = [
+                str(found) if isinstance(found, ValueError) else found
+                for _lineno, found in scan_records(path)
+            ]
+        assert scanned == [_oracle_outcome(record) for record in records]
 
 
 class TestCheckpoints:

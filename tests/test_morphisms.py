@@ -382,6 +382,16 @@ class TestAutGroups:
                     ]
                     assert [g.images for g in aut_glr(gl).elements] == expected
 
+    def test_aut_group_type_pruning_is_exact(self, small_racks):
+        # candidates drawn by row cycle type drop no automorphism and keep
+        # the lexicographic order of the search over every target point
+        rng = random.Random(19)
+        racks = [rack for _n, rack in small_racks] + classify.enumerate_racks(6)
+        for rack in racks:
+            for case in (rack, _relabel(rack, _random_perm(rng, rack.n))):
+                unpruned = morphisms._search(case, case, injective=True, store=False)
+                assert [g.images for g in aut_group(case).elements] == unpruned
+
     def test_aut_closed_under_composition(self, racks_by_order):
         for rack in racks_by_order[3]:
             group = aut_group(rack)
