@@ -27,13 +27,17 @@ whose ``Aut Q`` comes from the dedupe and whose ``U(Q) = C_{Aut Q}(Inn Q)``
 and medial flag are computed once per quandle: ``Aut R = C_{Aut Q}(u)`` is
 read off the orbit walk that finds the classes ``u`` (and skips repeated
 relabelings in the canonical form), ``U(R) = C_{U(Q)}(u)``, and ``R`` is
-medial exactly when ``Q`` is.  Both walks, and every other orbit loop, are
-the one :func:`perm._orbit_walk`.  A rack from an ingested library has no
-quandle stage: its group comes from :func:`morphisms.aut_group` and its
-classes from :func:`gl_classes`.  The brute-force oracles live in the
-tests: the labeled search with every row open (the rack-first oracle), the
-dedupe by sweeping all of ``S_n``, and the filter of all of ``S_n``
-through the GL-structure definition.
+medial exactly when ``Q`` is.  Both walks, whose stabilizers are used,
+run on :func:`perm._orbit_walk`, which lists every element of a
+stabilizer; the GL-classes on ``R``, whose stabilizers are not, come from
+:func:`perm.conjugation_orbits`, a breadth-first search over a small
+generating set of ``Aut R``.  A rack from an ingested library has no
+quandle stage: its group comes from :func:`morphisms.aut_group`, its
+``U(R)`` from :func:`gl_structures` as the automorphisms that keep every
+row, and its classes from :func:`gl_classes`.  The brute-force oracles
+live in the tests: the labeled search with every row open (the rack-first
+oracle), the dedupe by sweeping all of ``S_n``, and the filter of all of
+``S_n`` through the GL-structure definition.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
 results files and checkpoints hold, so records go to disk as they are; the
@@ -60,7 +64,7 @@ from .perm import (
     Permutation,
     SmallGroup,
     _orbit_walk,
-    centralizer,
+    _row_getter,
     conjugation_orbits,
     orbit_centralizers,
     symmetric_group,
@@ -481,10 +485,20 @@ def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
 
 def gl_structures(rack: Rack, aut: Optional[SmallGroup] = None) -> SmallGroup:
     """The group U of GL-structures: the centralizer of ``Inn R`` in
-    ``Aut R``.  Normality in Aut R is guaranteed; tests assert it."""
+    ``Aut R``.  Normality in Aut R is guaranteed; tests assert it.
+
+    ``U`` is the kernel of the action of ``Aut R`` on the rows: an
+    automorphism ``g`` has ``g s_x g^-1 = s_{g(x)}``, so it commutes with
+    every ``s_x`` exactly when ``s_{g(x)} = s_x`` for all ``x``.  Each
+    ``g`` is tested by one comparison of the rows read at ``g`` with the
+    rows.  Every element of ``aut`` must be an automorphism of ``rack``;
+    the default, :func:`morphisms.aut_group`, is one.
+    """
     if aut is None:
         aut = aut_group(rack)
-    return centralizer(aut, rack.s)
+    rows = rack.tables()
+    members = tuple(g for g in aut.elements if _row_getter(g.images)(rows) == rows)
+    return SmallGroup(aut.degree, members, members)
 
 
 def gl_classes(

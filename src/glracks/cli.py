@@ -163,7 +163,10 @@ def cmd_enumerate_racks(args) -> int:
 def cmd_aut(args) -> int:
     for rec, rack in _load_records(args.file):
         aut = aut_group(rack)
-        inn = inn_group(rack)
+        try:
+            inn = inn_group(rack)
+        except GroupTooLargeError as exc:
+            return _fail(str(exc), EXIT_NONEXHAUSTIVE)
         print(f"n={rec.n} |Aut|={aut.order} |Inn|={inn.order}")
     return EXIT_OK
 

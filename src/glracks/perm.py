@@ -412,14 +412,80 @@ def _conjugation(group: SmallGroup) -> Callable:
     return act
 
 
+def _strong_generators(group: SmallGroup) -> list[Permutation]:
+    """A small generating set of ``group``, read off its element list.
+
+    Every element ``g`` other than the identity lies in ``G_i``, the
+    pointwise stabilizer of ``0..i-1``, for its first moved point ``i``,
+    and one element for each pair ``(i, g(i))`` is a transversal of
+    ``G_{i+1}`` in ``G_i``: together these generate ``group`` (the
+    Schreier-Sims stabilizer chain).  Levels are then pruned from the
+    deepest up, keeping an element only if its image of ``i`` is not yet in
+    the orbit of ``i`` under the elements kept so far.  The kept ones still
+    generate ``G_i`` at each level: by induction they hold ``G_{i+1}``, the
+    stabilizer of ``i`` in ``G_i``, and they reach the whole orbit of ``i``,
+    so they make up ``|orbit| * |G_{i+1}| = |G_i|`` elements.  This holds
+    whatever order the elements come in.
+    """
+    levels: list[dict[int, Permutation]] = [{} for _ in range(group.degree)]
+    for g in group.elements:
+        for i, j in enumerate(g.images):
+            if i != j:
+                levels[i].setdefault(j, g)
+                break
+    kept: list[Permutation] = []
+    for i in reversed(range(group.degree)):
+        orbit = {i}
+        for j, g in levels[i].items():
+            if j in orbit:
+                continue
+            kept.append(g)
+            frontier = orbit.copy()
+            while frontier:
+                frontier = {h.images[p] for p in frontier for h in kept} - orbit
+                orbit |= frontier
+    return kept
+
+
 def conjugation_orbits(
     members: Iterable[tuple[int, ...]], group: SmallGroup
 ) -> list[list[tuple[int, ...]]]:
     """Partition ``members`` (image arrays) into orbits under conjugation
     by ``group``, each sorted, in the order of their least members; raises
-    ``ValueError`` if an orbit leaves ``members``."""
-    walk = _orbit_walk(members, _conjugation(group), "conjugation")
-    return [orbit for orbit, _stabilizer in walk]
+    ``ValueError`` if an orbit leaves ``members``.
+
+    Each orbit is found by a breadth-first search from its least member
+    over the small generating set of :func:`_strong_generators`, not over
+    every element: the cost is ``|members| * |generators|`` conjugations,
+    and only the generators are inverted.
+    """
+    # each generator g with the getter of the row of g b at g^-1, for any b
+    gens = [
+        (g.images, _row_getter(g.inverse().images)) for g in _strong_generators(group)
+    ]
+    remaining = set(members)
+    orbits = []
+    while remaining:
+        a = min(remaining)
+        orbit = {a}
+        frontier = [a]
+        while frontier:
+            found = []
+            for b in frontier:
+                then_b = _row_getter(b)
+                for gi, at_inv in gens:
+                    c = at_inv(then_b(gi))  # g b g^-1
+                    if c not in orbit:
+                        if c not in remaining:
+                            raise ValueError(
+                                f"conjugation orbit of {a} leaves the member set"
+                            )
+                        orbit.add(c)
+                        found.append(c)
+            frontier = found
+        remaining -= orbit
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 def orbit_centralizers(

@@ -274,10 +274,19 @@ class TestCarriedAutomorphisms:
 
 class TestGLStructures:
     def test_centralizer_equals_brute_force(self, racks_by_order):
-        for n in (0, 1, 2, 3, 4):
+        for n in (0, 1, 2, 3, 4, 5):
             for rack in racks_by_order[n]:
                 fast = set(gl_structures(rack).elements)
                 assert fast == set(gl_structures_brute(rack))
+
+    def test_row_kernel_equals_centralizer_at_order_6(self):
+        # U(R) as the automorphisms that keep every row, against its
+        # definition C_{Aut R}(Inn R)
+        racks = enumerate_racks(6)
+        assert len(racks) == 353
+        for rack in racks:
+            aut = aut_group(rack)
+            assert gl_structures(rack, aut) == centralizer(aut, rack.s)
 
     def test_structures_form_normal_subgroup_of_aut(self, small_racks):
         for _n, rack in small_racks:

@@ -571,6 +571,18 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_aut_over_the_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        # Inn R_5 is the dihedral group of order 10
+        from glracks import perm
+
+        path = str(tmp_path / "r5.txt")
+        write_records(path, [StructureRecord(n=5, s=dihedral(5).tables())])
+        monkeypatch.setattr(perm, "GROUP_CAP", 4)
+        code, out, err = run(capsys, "aut", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_hom_rack_needs_medial_target(self, capsys, tmp_path):
         from glracks.perm import parse_cycles
         from glracks.racks import check_rack

@@ -18,9 +18,11 @@ from glracks.perm import (
     DegreeMismatchError,
     Permutation,
     SmallGroup,
+    _strong_generators,
     centralizer,
     closure,
     conjugation_orbits,
+    symmetric_group,
 )
 from glracks.racks import (
     NotABijectionError,
@@ -329,3 +331,37 @@ class TestConjugationOrbits:
         group = closure([Permutation((1, 2, 0)), Permutation((1, 0, 2))])
         with pytest.raises(ValueError, match=r"conjugation orbit of \(1, 0, 2\) leaves"):
             conjugation_orbits([(0, 1, 2), (1, 0, 2)], group)
+
+
+class TestStrongGenerators:
+    """conjugation_orbits searches over _strong_generators, so its orbits
+    are whole only if these generate the group."""
+
+    @staticmethod
+    def assert_generates(group):
+        generators = _strong_generators(group)
+        assert closure(generators, degree=group.degree).elements == group.elements
+        return generators
+
+    def test_every_aut_group_of_order_at_most_5(self):
+        for rack in RACKS:
+            self.assert_generates(aut_group(rack))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_symmetric_groups(self, n):
+        # pruned to the adjacent transpositions (i, i+1), the least element
+        # moving i to i+1 at each level
+        assert len(self.assert_generates(symmetric_group(n))) == max(n - 1, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(groups_and_perms())
+    def test_random_closures(self, case):
+        group, _others = case
+        self.assert_generates(group)
+
+    def test_element_order_does_not_matter(self):
+        # the transversal and the pruning read the elements in list order
+        group = symmetric_group(5)
+        shuffled = SmallGroup(5, group.generators, group.elements[::-1])
+        generators = _strong_generators(shuffled)
+        assert closure(generators, degree=5).elements == group.elements
