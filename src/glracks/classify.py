@@ -11,8 +11,8 @@ only over tables in a normal form that the lexicographically least table
 of every class has: identity rows first, then the row with the least
 cycle-type key.  The labeled quandles are deduplicated into isomorphism
 classes by removing relabeling orbits, built only from the relabelings
-that keep the normal form, and the stabilizer of each class's least table
-in that walk is its automorphism group ``Aut Q``, with no automorphism
+that keep the normal form, and the relabelings that give each class's
+least table back are its automorphism group ``Aut Q``, with no automorphism
 search; and each quandle ``Q`` with each class of
 GL-structures ``u`` on it gives one rack class ``G(Q, u)``, brought to its
 lexicographically least relabeling by the least of the relabelings that put
@@ -24,20 +24,20 @@ are the conjugacy orbits in ``U(R)`` under ``Aut R``.  How these are found
 depends on the path.  An enumerated rack ``R = G(Q, u)`` has
 ``F(R) = (Q, u)``, so every group it needs comes from its quandle class,
 whose ``Aut Q`` comes from the dedupe and whose ``U(Q) = C_{Aut Q}(Inn Q)``
-and medial flag are computed once per quandle: ``Aut R = C_{Aut Q}(u)`` is
-read off the orbit walk that finds the classes ``u`` (and skips repeated
-relabelings in the canonical form), ``U(R) = C_{U(Q)}(u)``, and ``R`` is
-medial exactly when ``Q`` is.  Both walks, whose stabilizers are used,
-run on :func:`perm._orbit_walk`, which lists every element of a
-stabilizer; the GL-classes on ``R``, whose stabilizers are not, come from
-:func:`perm.conjugation_orbits`, a breadth-first search over a small
-generating set of ``Aut R``.  A rack from an ingested library has no
-quandle stage: its group comes from :func:`morphisms.aut_group`, its
-``U(R)`` from :func:`gl_structures` as the automorphisms that keep every
-row, and its classes from :func:`gl_classes`.  The brute-force oracles
-live in the tests: the labeled search with every row open (the rack-first
-oracle), the dedupe by sweeping all of ``S_n``, and the filter of all of
-``S_n`` through the GL-structure definition.
+and medial flag are computed once per quandle: ``Aut R = C_{Aut Q}(u)``,
+for the least member ``u`` of each class, comes from
+:func:`perm.orbit_centralizers` (and skips repeated relabelings in the
+canonical form), ``U(R) = C_{U(Q)}(u)``, and ``R`` is medial exactly when
+``Q`` is.  Every conjugation orbit, the classes ``u`` on ``Q`` and the
+GL-classes on ``R``, comes from :func:`perm.conjugation_orbits`, a
+breadth-first search over a small generating set of the acting group.
+A rack from an ingested library has no quandle stage: its group comes
+from :func:`morphisms.aut_group`, its ``U(R)`` from :func:`gl_structures`
+as the automorphisms that keep every row, and its classes from
+:func:`gl_classes`.  The brute-force oracles live in the tests: the
+labeled search with every row open (the rack-first oracle), the dedupe by
+sweeping all of ``S_n``, and the filter of all of ``S_n`` through the
+GL-structure definition.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
 results files and checkpoints hold, so records go to disk as they are; the
@@ -63,7 +63,6 @@ from .morphisms import aut_group
 from .perm import (
     Permutation,
     SmallGroup,
-    _orbit_walk,
     _row_getter,
     conjugation_orbits,
     orbit_centralizers,
@@ -359,25 +358,29 @@ def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[tuple[bytes, SmallGr
     normal-form quandle tables ``labeled`` (see :func:`_labeled_racks`), in
     ascending order, each with its automorphism group ``Aut Q``.
 
-    Each representative is relabeled only by the relabelings that keep it
-    in normal form (:func:`_normal_relabelings`), not by all of ``S_n``, in
-    one :func:`perm._orbit_walk`: the orbits are the isomorphism classes met
-    in ``labeled``, and one that leaves ``labeled`` raises ``ValueError``.
-    Every automorphism keeps the normal form, so ``Aut Q`` is the walk's
-    stabilizer, sorted as :func:`aut_group` sorts it; but the all-identity
-    table's one relabeling is the identity, and its ``Aut Q`` is ``S_n``.
+    The least table ``rep`` not yet met is relabeled only by the relabelings
+    that keep it in normal form (:func:`_normal_relabelings`), not by all of
+    ``S_n``: the tables they give are its class's tables in ``labeled``, and
+    a class that leaves ``labeled`` raises ``ValueError``.  Every
+    automorphism keeps the normal form, so ``Aut Q`` is the relabelings that
+    give ``rep`` back, sorted as :func:`aut_group` sorts it; but the
+    all-identity table's one relabeling is the identity, and its ``Aut Q``
+    is ``S_n``.
     """
-
-    def relabelings(rep: bytes) -> tuple[list[tuple[int, ...]], list[bytes]]:
-        pairs = list(_normal_relabelings(rep, n))
-        return [p for p, _ in pairs], [_relabel(rep, n, p, pinv) for p, pinv in pairs]
-
     trivial = bytes(range(n)) * n
+    remaining = set(labeled)
     classes = []
-    for orbit, fixing in _orbit_walk(labeled, relabelings, "relabeling"):
-        autos = tuple(Permutation.unchecked(p) for p in sorted(fixing))
-        aut = SmallGroup(n, autos, autos) if orbit[0] != trivial else symmetric_group(n)
-        classes.append((orbit[0], aut))
+    while remaining:
+        rep = min(remaining)
+        by_table: dict[bytes, list[tuple[int, ...]]] = {}
+        for p, pinv in _normal_relabelings(rep, n):
+            by_table.setdefault(_relabel(rep, n, p, pinv), []).append(p)
+        if not by_table.keys() <= remaining:
+            raise ValueError(f"relabeling orbit of {rep} leaves the member set")
+        remaining.difference_update(by_table)
+        autos = tuple(Permutation.unchecked(p) for p in sorted(by_table[rep]))
+        aut = SmallGroup(n, autos, autos) if rep != trivial else symmetric_group(n)
+        classes.append((rep, aut))
     return classes
 
 
@@ -419,7 +422,7 @@ def _enumerate(
     ``Aut Q`` the dedupe returns (:func:`_dedupe_by_orbits`; no
     :func:`aut_group` runs here) and whose ``U(Q) = C_{Aut Q}(Inn Q)`` and
     medial flag are computed once: the classes ``u`` are the ``Aut Q``-orbits
-    on ``U(Q)``, and the walk over them also gives ``Aut R = C_{Aut Q}(u)``,
+    on ``U(Q)``, each with ``Aut R = C_{Aut Q}(u)`` (:func:`orbit_centralizers`),
     which :func:`_canonical` uses; ``U(R) = C_{U(Q)}(u)`` is ``U(Q) & Aut R``;
     the GL-classes on ``R`` are the ``Aut R``-orbits on ``U(R)``, each
     moved onto the canonical table by the relabeling ``p`` that gives it,

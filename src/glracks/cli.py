@@ -173,13 +173,10 @@ def cmd_aut(args) -> int:
 
 def cmd_glstructures(args) -> int:
     for rec, rack in _load_records(args.file):
-        aut = aut_group(rack)
-        structures = _classify.gl_structures(rack, aut)
-        classes = _classify.gl_classes(rack, aut)
+        classes = _classify.gl_classes(rack)
+        structures = sum(size for _u, size in classes)  # the classes partition U
         reps = " ".join(print_cycles(u) for u, _size in classes)
-        print(
-            f"n={rec.n} structures={structures.order} classes={len(classes)} reps=[{reps}]"
-        )
+        print(f"n={rec.n} structures={structures} classes={len(classes)} reps=[{reps}]")
     return EXIT_OK
 
 

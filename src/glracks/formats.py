@@ -305,7 +305,7 @@ def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
 
 
 def format_record_line(record: StructureRecord) -> str:
-    return _format_line(record, _format_table, _one_based)
+    return next(format_record_lines([record]))
 
 
 def format_record_lines(records: Iterable[StructureRecord]) -> Iterator[str]:
@@ -314,7 +314,19 @@ def format_record_lines(records: Iterable[StructureRecord]) -> Iterator[str]:
     table_text = _kept(_format_table)
     array_text = _kept(_one_based)
     for record in records:
-        yield _format_line(record, table_text, array_text)
+        parts = [f"n={record.n}"]
+        if record.rack_index is not None:
+            parts.append(f"rack={record.rack_index}")
+        parts.append("s=" + table_text(record.s))
+        if record.u is not None:
+            parts.append("u=" + array_text(record.u))
+        if record.d is not None:
+            parts.append("d=" + array_text(record.d))
+        if record.flags is not None:
+            parts.append(f"quandle={int(record.flags.gl_quandle)}")
+            parts.append(f"medial={int(record.flags.medial)}")
+            parts.append(f"legendrian={int(record.flags.legendrian)}")
+        yield " ".join(parts)
 
 
 def _kept(format_text):
@@ -336,24 +348,6 @@ def _kept(format_text):
 
 def _format_table(s) -> str:
     return ";".join(_one_based(row) for row in s)
-
-
-def _format_line(record: StructureRecord, table_text, array_text) -> str:
-    """The line of ``record``, its ``s`` formatted by ``table_text`` and
-    its ``u`` and ``d`` by ``array_text``."""
-    parts = [f"n={record.n}"]
-    if record.rack_index is not None:
-        parts.append(f"rack={record.rack_index}")
-    parts.append("s=" + table_text(record.s))
-    if record.u is not None:
-        parts.append("u=" + array_text(record.u))
-    if record.d is not None:
-        parts.append("d=" + array_text(record.d))
-    if record.flags is not None:
-        parts.append(f"quandle={int(record.flags.gl_quandle)}")
-        parts.append(f"medial={int(record.flags.medial)}")
-        parts.append(f"legendrian={int(record.flags.legendrian)}")
-    return " ".join(parts)
 
 
 def scan_records(path: str) -> Iterator[tuple[int, StructureRecord | ValueError]]:
@@ -511,6 +505,10 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
                 continue
             elif line.startswith("watermark"):
                 index = _parse_watermark(line, len(racks))
+                if index in done:
+                    raise RecordFormatError(f"second watermark rack={index}")
+                if not pending:  # every rack has its u = id record
+                    raise RecordFormatError(f"watermark rack={index} follows no records")
                 tables = racks[index].tables()
                 for sr in pending:
                     if sr.rack_index != index or sr.s != tables:

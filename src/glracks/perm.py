@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from functools import total_ordering
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Permutation",
@@ -381,37 +381,6 @@ def are_conjugate(
     return False, None
 
 
-def _orbit_walk(members: Iterable, act: Callable, action: str) -> Iterator[tuple]:
-    """Each orbit of ``members`` under a group action, sorted, with an
-    iterator over the stabilizer of its least member ``a``, in the order of
-    least members: ``act(a)`` lists acting elements and the image of ``a``
-    under each, the images make up the orbit and the elements with image
-    ``a`` the stabilizer, which is only searched if iterated.  Raises
-    ``ValueError``, naming the ``action``, if an orbit leaves ``members``;
-    a correct caller rules that out."""
-    remaining = set(members)
-    while remaining:
-        a = min(remaining)
-        elements, images = act(a)
-        orbit = set(images)
-        if not orbit <= remaining:
-            raise ValueError(f"{action} orbit of {a} leaves the member set")
-        remaining -= orbit
-        yield sorted(orbit), itertools.compress(elements, map(a.__eq__, images))
-
-
-def _conjugation(group: SmallGroup) -> Callable:
-    """Conjugation by ``group``, as :func:`_orbit_walk` takes an action:
-    each ``g`` in ``group`` with ``g a g^-1``, the row of ``g a`` at ``g^-1``."""
-    pairs = [(g.images, _row_getter(g.inverse().images)) for g in group.elements]
-
-    def act(a: tuple[int, ...]) -> tuple[Sequence[Permutation], list]:
-        then_a = _row_getter(a)
-        return group.elements, [at_inv(then_a(gi)) for gi, at_inv in pairs]
-
-    return act
-
-
 def _strong_generators(group: SmallGroup) -> list[Permutation]:
     """A small generating set of ``group``, read off its element list.
 
@@ -492,11 +461,22 @@ def orbit_centralizers(
     members: Iterable[tuple[int, ...]], group: SmallGroup
 ) -> list[tuple[list[tuple[int, ...]], SmallGroup]]:
     """The orbits of :func:`conjugation_orbits`, each with the centralizer
-    in ``group`` of its least member, its stabilizer in the same walk: that
-    is ``centralizer(group, [orbit[0]])`` without a second pass."""
+    in ``group`` of its least member ``a``: ``centralizer(group, [a])``,
+    its elements in the same order.
+
+    Each orbit's centralizer is one scan of ``group`` for the ``g`` with
+    ``g a == a g``, and the getter of each element is built once per call,
+    not once per orbit as calling :func:`centralizer` for each orbit would.
+    That per-orbit rebuild, and Schreier generators of each stabilizer
+    closed by :func:`closure`, both measured slower than this scan.
+    """
+    # each g with the getter of the row of a g, for any a
+    scan = [(g, _row_getter(g.images)) for g in group.elements]
     out = []
-    for orbit, stabilizer in _orbit_walk(members, _conjugation(group), "conjugation"):
-        fixing = tuple(stabilizer)
+    for orbit in conjugation_orbits(members, group):
+        a = orbit[0]
+        then_a = _row_getter(a)  # the row of g a, for any g
+        fixing = tuple(g for g, then_g in scan if then_a(g.images) == then_g(a))
         out.append((orbit, SmallGroup(group.degree, fixing, fixing)))
     return out
 

@@ -481,6 +481,18 @@ class TestClassify:
         assert code == 1
         assert err.startswith("error:") and ":3:" in err
 
+    @pytest.mark.parametrize("quandles", [(), ("--quandles",)])
+    def test_checkpoint_bare_watermark_exits_1(self, capsys, tmp_path, quandles):
+        # a rack marked done with no records would print a short count
+        from glracks.formats import checkpoint_header
+
+        ckpt = str(tmp_path / "ckpt.txt")
+        with open(ckpt, "w") as fh:
+            fh.write(checkpoint_header(enumerate_racks(3)) + "\nwatermark rack=0\n")
+        code, out, err = run(capsys, "classify", "-n", "3", *quandles, "--checkpoint", ckpt)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and ":2:" in err
+
 
 class TestOtherCommands:
     def test_enumerate_racks(self, capsys, tmp_path):

@@ -425,6 +425,30 @@ class TestCheckpoints:
         with pytest.raises(RecordFormatError, match=":2:"):
             read_checkpoint(path, racks)
 
+    def test_second_watermark_of_a_rack_is_rejected(self, tmp_path):
+        # rack 0's block written twice would count its records twice
+        racks = enumerate_racks(3)
+        path = str(tmp_path / "ckpt.txt")
+        classify_gl(3, racks, checkpoint_path=path)
+        with open(path) as fh:
+            lines = fh.readlines()
+        end = lines.index("watermark rack=0\n") + 1
+        with open(path, "w") as fh:
+            fh.writelines(lines[:end] + lines[1:end])
+        with pytest.raises(RecordFormatError, match=f":{2 * end - 1}: second"):
+            read_checkpoint(path, racks)
+
+    def test_watermark_without_records_is_rejected(self, tmp_path):
+        # every rack has its u = id record, so a bare watermark loses some
+        from glracks.formats import checkpoint_header
+
+        racks = enumerate_racks(3)
+        path = str(tmp_path / "ckpt.txt")
+        with open(path, "w") as fh:
+            fh.write(checkpoint_header(racks) + "\nwatermark rack=0\n")
+        with pytest.raises(RecordFormatError, match=":2: watermark rack=0 follows"):
+            read_checkpoint(path, racks)
+
     def test_missing_checkpoint_is_fresh_start(self, tmp_path):
         done, records = read_checkpoint(str(tmp_path / "nope.txt"), [])
         assert done == set() and records == []

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from glracks import perm
+from glracks import classify, perm
 from glracks.perm import (
     CycleParseError,
     DegreeMismatchError,
@@ -162,18 +162,26 @@ class TestGroups:
         assert conjugation_orbits(transpositions, s3) == [sorted(transpositions)]
         with pytest.raises(ValueError):
             conjugation_orbits(transpositions[:2], s3)
+        with pytest.raises(ValueError, match="leaves the member set"):
+            orbit_centralizers(transpositions[:2], s3)
 
     @pytest.mark.parametrize("n", range(6))
     def test_orbit_walk_centralizers(self, n):
-        # the stabilizer read off the orbit walk is the centralizer of the
-        # orbit's least member, for every conjugacy class of S_n
-        group = symmetric_group(n)
-        members = [g.images for g in group.elements]
-        walked = orbit_centralizers(members, group)
-        assert [orbit for orbit, _ in walked] == conjugation_orbits(members, group)
-        for orbit, stabilizer in walked:
-            rep = Permutation(orbit[0])
-            assert stabilizer.elements == centralizer(group, [rep]).elements
+        # the stabilizer that orbit_centralizers gives is the centralizer of
+        # the orbit's least member, for every conjugacy class of S_n and for
+        # U(Q) under Aut Q for every quandle class Q of order n, as the
+        # enumeration takes them
+        symmetric = symmetric_group(n)
+        cases = [([g.images for g in symmetric.elements], symmetric)]
+        for flat, aut in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
+            structures = classify.gl_structures(classify._unflatten(flat, n), aut)
+            cases.append(([u.images for u in structures.elements], aut))
+        for members, group in cases:
+            walked = orbit_centralizers(members, group)
+            assert [orbit for orbit, _ in walked] == conjugation_orbits(members, group)
+            for orbit, stabilizer in walked:
+                rep = Permutation(orbit[0])
+                assert stabilizer.elements == centralizer(group, [rep]).elements
 
     def test_are_conjugate_witness(self):
         s5 = symmetric_group(5)
