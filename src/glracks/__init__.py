@@ -10,8 +10,6 @@ from .perm import (
     SmallGroup,
     closure,
     centralizer,
-    are_conjugate,
-    conjugacy_classes,
     parse_cycles,
     print_cycles,
 )

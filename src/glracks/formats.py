@@ -12,12 +12,24 @@ by the same step, and keeps its per-read work (each distinct ``s=``,
 ``u=`` and ``d=`` text parsed once, each distinct table checked once)
 inside this module; :func:`read_racks` hands each record over with its
 checked rack.  A write formats each distinct table and array once.
+
+Both text readers have a fast path for the text glracks writes, and a
+general parser that gives every error and message.  A record line with
+the eight fields in the order :func:`format_record_lines` writes them
+and flags ``0`` or ``1`` is read from one split; any other line, or one
+whose ``n``, ``rack`` or flags that path does not take, goes to the
+token loop of :func:`_parse_line`.  A library text made only of
+brackets, commas, ``-``, ASCII digits and `` \t\r\n`` is decoded by
+``json.loads``; any text it refuses goes to the character loop of
+:func:`parse_bracketed_lists`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -112,8 +124,10 @@ class _Table:
         ``d = theta^-1 u^-1`` and its flags from image tuples."""
         check_gl(self.rack, u)
         ui = u.images
-        # d(u(x)) = theta^-1(x)
-        d = tuple(map(dict(zip(ui, self.theta_inv)).__getitem__, range(self.n)))
+        down = [0] * self.n
+        for ux, t in zip(ui, self.theta_inv):
+            down[ux] = t  # d(u(x)) = theta^-1(x)
+        d = tuple(down)
         # Legendrian, theta = u^-2, exactly when the down map is u
         return d, _FLAGS[(*self.quandle_medial, d == ui)]
 
@@ -255,6 +269,7 @@ def _parse_table(n: int, text: str) -> tuple[tuple[int, ...], ...]:
 
 
 _BOOL = {"0": False, "1": True, "true": True, "false": False}
+_BIT = {"0": False, "1": True}
 _FLAG_KEYS = ("quandle", "medial", "legendrian")
 
 
@@ -266,9 +281,40 @@ def parse_record_line(line: str) -> StructureRecord:
 def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
     """The record of one line; ``tables`` holds the ``s=``, ``u=`` and
     ``d=`` texts already parsed in the same file read, and the other
-    fields are parsed every time."""
+    fields are parsed every time.
+
+    A line in the written field order (see the module docstring) is read
+    from its one split, with ``s``, ``u`` and ``d`` parsed in the order
+    the token loop parses them, so that they raise as it would; every
+    other line goes to the token loop."""
+    tokens = line.split()
+    if len(tokens) == 8:
+        n_t, rack_t, s_t, u_t, d_t, q_t, m_t, l_t = tokens
+        fl = (_BIT.get(q_t[8:]), _BIT.get(m_t[7:]), _BIT.get(l_t[11:]))
+        if (
+            n_t[:2] == "n="
+            and rack_t[:5] == "rack="
+            and s_t[:2] == "s="
+            and u_t[:2] == "u="
+            and d_t[:2] == "d="
+            and q_t[:8] == "quandle="
+            and m_t[:7] == "medial="
+            and l_t[:11] == "legendrian="
+            and None not in fl
+        ):
+            try:
+                n = int(n_t[2:])
+                rack_index = int(rack_t[5:])
+            except ValueError:
+                pass
+            else:
+                parse = tables.parse
+                s = parse("s", n, s_t[2:])
+                u = parse("u", n, u_t[2:])
+                d = parse("d", n, d_t[2:])
+                return StructureRecord(n, s, u, d, _FLAGS[fl], rack_index)
     fields: dict[str, str] = {}
-    for token in line.split():
+    for token in tokens:
         if "=" not in token:
             raise RecordFormatError(f"bad token {token!r} in record line")
         key, value = token.split("=", 1)
@@ -548,13 +594,29 @@ class AmbiguousOrientationError(ValueError):
     """Both table orientations validate; an explicit flag is required."""
 
 
+# the texts that ``json.loads`` reads as the library grammar does, or refuses
+_JSON_TEXT = re.compile(r"[\[\],\-0-9 \t\r\n]*\Z")
+
+
 def parse_bracketed_lists(text: str):
     """Parse nested bracketed integer lists, e.g. ``[[[1,2],[2,1]], ...]``.
 
     Returns the top-level value (a possibly nested list of ints).  Errors
     carry 1-based line and column positions.  The open lists are kept on
     an explicit stack, so any depth of nesting parses.
+
+    A text made only of brackets, commas, ``-``, ASCII digits and the
+    whitespace `` \\t\\r\\n`` is first decoded by ``json.loads``: on that
+    alphabet JSON's grammar is this one without leading zeros, and its
+    values are the same.  Any text ``json.loads`` refuses (leading zeros,
+    ``[1,]``, deep nesting, an integer past the digit limit, no value)
+    goes to the loop below, which gives every value and error.
     """
+    if _JSON_TEXT.match(text):
+        try:
+            return json.loads(text)
+        except (ValueError, RecursionError):
+            pass
     pos = 0
     line = 1
     col = 1

@@ -18,10 +18,11 @@ type (``_type_index``), which ``find_iso`` and ``find_gl_iso`` compare
 and draw candidates from; a :class:`~glracks.glrack.GLRack` keeps the
 cycle type of ``u`` (``_u_type``).  Nothing else is kept per query: the
 candidate lists and the ``u`` constraints are built per search, since a
-query GL-rack is seldom asked twice.  ``aut_group`` and ``aut_glr``
-build the schedule without keeping it: ``classify`` calls them once per
-rack and holds every rack until its records are written, so a kept
-schedule would only take memory.  They draw each point's candidates from
+query GL-rack is seldom asked twice, and a source above the orders
+``classify`` reaches keeps no schedule (``_KEPT_ORDER``).  ``aut_group``
+and ``aut_glr`` build the schedule without keeping it: ``classify`` calls
+them once per rack and holds every rack until its records are written,
+so a kept schedule would only take memory.  They draw each point's candidates from
 the points whose row has the same cycle type (``_type_candidates``),
 which is exact since ``s_phi(x) = phi s_x phi^-1``; the grouping too is
 built per call, and nothing is kept on the rack.
@@ -64,6 +65,12 @@ __all__ = [
 ]
 
 Map = tuple[int, ...]
+
+# The largest source order whose search schedule is kept on the rack and
+# interned: the orders ``classify`` reaches (``classify.MAX_ORDER``), where
+# the same racks are searched again.  A larger source is a one-off query,
+# and interning its up to n^3 triples would only grow ``racks._SHARED``.
+_KEPT_ORDER = 8
 
 
 def is_rack_hom(source: Rack, target: Rack, phi: Sequence[int]) -> bool:
@@ -113,8 +120,9 @@ def _search(
 
     The rack constraints come grouped by their last point from the source
     rack's ``_checks``, built on its first search and kept on it; with
-    ``store=False`` they are built for this search alone.  The ``u``
-    constraints are built per search, and only when ``u`` is given: each
+    ``store=False``, or from a source above order ``_KEPT_ORDER``, they are
+    built for this search alone.  The ``u`` constraints are built per
+    search, and only when ``u`` is given: each
     pair ``(y, u_1(y))`` joins the step of its later point as the triple
     ``(n, y, u_1(y))``, where the extra entry ``phi[n] = m`` names the
     extra target row ``u_2``, so one check loop serves both kinds.
@@ -122,7 +130,10 @@ def _search(
     n, m = source.n, target.n
     # checks[x]: the constraints whose last-assigned point is x
     checks: Sequence[Sequence[tuple[int, int, int]]]
-    checks = source._checks if store else _schedule(source.tables())
+    if store and n <= _KEPT_ORDER:
+        checks = source._checks
+    else:
+        checks = _schedule(source.tables())
     if n == 0:
         return [()]
     if candidates is None:

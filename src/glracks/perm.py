@@ -28,8 +28,6 @@ __all__ = [
     "print_cycles",
     "closure",
     "centralizer",
-    "are_conjugate",
-    "conjugacy_classes",
     "conjugation_orbits",
     "orbit_centralizers",
 ]
@@ -361,26 +359,6 @@ def centralizer(group: SmallGroup, others: Iterable[Permutation]) -> SmallGroup:
     return SmallGroup(group.degree, tuple(members), tuple(members))
 
 
-def are_conjugate(
-    group: SmallGroup, a: Permutation, b: Permutation
-) -> tuple[bool, Optional[Permutation]]:
-    """Decide whether ``g a g^-1 = b`` for some ``g`` in ``group``.
-
-    Returns ``(True, witness)`` or ``(False, None)``.
-    """
-    if a.degree != group.degree or b.degree != group.degree:
-        raise DegreeMismatchError("permutations must match group degree")
-    if a == b:
-        return True, Permutation.identity(group.degree)
-    bi = b.images
-    for g in group.elements:
-        gi = g.images
-        # g a g^-1 == b  <=>  g(a(i)) == b(g(i)) for all i
-        if all(gi[a.images[i]] == bi[gi[i]] for i in range(group.degree)):
-            return True, g
-    return False, None
-
-
 def _strong_generators(group: SmallGroup) -> list[Permutation]:
     """A small generating set of ``group``, read off its element list.
 
@@ -479,15 +457,3 @@ def orbit_centralizers(
         fixing = tuple(g for g, then_g in scan if then_a(g.images) == then_g(a))
         out.append((orbit, SmallGroup(group.degree, fixing, fixing)))
     return out
-
-
-def conjugacy_classes(group: SmallGroup) -> list[tuple[Permutation, ...]]:
-    """Partition of ``group.elements`` into conjugacy classes.
-
-    Each class lists its lexicographically least member first and the rest in
-    sorted order; classes are ordered by representative.
-    """
-    return [
-        tuple(Permutation.unchecked(t) for t in orbit)
-        for orbit in conjugation_orbits((p.images for p in group.elements), group)
-    ]

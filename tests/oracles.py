@@ -11,7 +11,12 @@ import itertools
 
 from glracks import classify, racks
 from glracks.glrack import is_gl_structure
-from glracks.perm import symmetric_group
+from glracks.perm import (
+    DegreeMismatchError,
+    Permutation,
+    conjugation_orbits,
+    symmetric_group,
+)
 
 
 def relabel_by(flat, n, p):
@@ -115,3 +120,34 @@ def pointwise_tables(target, homs):
         except KeyError:
             raise AssertionError("a pointwise product leaves the hom set") from None
     return tuple(table)
+
+
+def are_conjugate(group, a, b):
+    """Decide whether ``g a g^-1 = b`` for some ``g`` in ``group``, by a
+    scan of its elements.
+
+    Returns ``(True, witness)`` or ``(False, None)``.
+    """
+    if a.degree != group.degree or b.degree != group.degree:
+        raise DegreeMismatchError("permutations must match group degree")
+    if a == b:
+        return True, Permutation.identity(group.degree)
+    bi = b.images
+    for g in group.elements:
+        gi = g.images
+        # g a g^-1 == b  <=>  g(a(i)) == b(g(i)) for all i
+        if all(gi[a.images[i]] == bi[gi[i]] for i in range(group.degree)):
+            return True, g
+    return False, None
+
+
+def conjugacy_classes(group):
+    """Partition of ``group.elements`` into conjugacy classes.
+
+    Each class lists its lexicographically least member first and the rest in
+    sorted order; classes are ordered by representative.
+    """
+    return [
+        tuple(Permutation.unchecked(t) for t in orbit)
+        for orbit in conjugation_orbits((p.images for p in group.elements), group)
+    ]

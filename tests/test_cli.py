@@ -250,6 +250,11 @@ class TestClassify:
         7: "be88eaa1540a5b35a27778acab43df5c7647d7f9d32c80178b1dd5bc1c3a0b09",
         8: "99ac3e0e91eac48a72717d6d5df2083ebfb49cccce5414685c95fe45638bb9e1",
     }
+    # and the last line of ``check`` on that file
+    LONG_CHECK_LAST_LINE = {
+        7: "17268/17268 structures valid",
+        8: "189373/189373 structures valid",
+    }
 
     @pytest.mark.parametrize("n", [7, pytest.param(8, marks=long_run_only)])
     def test_long_run_out_file_bytes(self, capsys, tmp_path, n):
@@ -260,6 +265,9 @@ class TestClassify:
         assert code == 0
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == self.LONG_OUT_SHA256[n]
+        code, out, _err = run(capsys, "check", path)
+        assert code == 0
+        assert out.splitlines()[-1] == self.LONG_CHECK_LAST_LINE[n]
 
     def test_enumerate_racks_order_7_bytes(self, capsys, tmp_path):
         # ``racks-7.txt`` in perfbench/data/expected.json: 2080 canonical

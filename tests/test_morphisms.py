@@ -274,6 +274,16 @@ class TestSearchCache:
                 aut_glr(check_gl(copy, u))
             assert set(vars(copy)) == {"n", "s"}
 
+    def test_one_query_from_a_large_source_interns_nothing(self):
+        # the classification orders keep their schedules; an order-300
+        # source builds its 90,000 triples for the one search alone
+        assert classify.MAX_ORDER <= morphisms._KEPT_ORDER
+        before = len(_SHARED)
+        source = trivial_quandle(300)
+        assert enumerate_homs(source, trivial_quandle(1)) == [(0,) * 300]
+        assert len(_SHARED) == before
+        assert "_checks" not in vars(source)
+
     def test_filled_cache_keeps_equality_hash_and_pickling(self, racks_by_order):
         for rack in _cache_cases(racks_by_order):
             filled = _fresh(rack)

@@ -1,10 +1,12 @@
 """Fuzzing of the three text parsers: on any text each raises only its
-documented error type, and the bracket parser agrees with a recursive
-reference parser."""
+documented error type, the bracket parser agrees with a recursive
+reference parser, and the record parser reads a line in the written field
+order as it reads the same fields in any other order."""
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from glracks.classify import classify_gl
 from glracks.formats import (
     BracketParseError,
     RecordFormatError,
@@ -147,6 +149,14 @@ class TestFuzz:
     @settings(max_examples=600, deadline=None)
     @given(bracket_text)
     @example("[1²]")
+    @example("[01]")
+    @example("[-0]")
+    @example("[1,]")
+    @example("[-]")
+    @example("[1]]")
+    @example("\ufeff[1]")
+    @example("[ 1 ,\r\n 2 ]")
+    @example("")
     def test_bracketed_lists(self, text):
         assert outcome(parse_bracketed_lists, text) == outcome(
             parse_bracketed_lists_oracle, text
@@ -172,6 +182,67 @@ class TestFuzz:
         except CycleParseError:
             return
         assert perm.degree == degree
+
+
+# the field order of the lines ``format_record_lines`` writes
+WRITTEN_ORDER = ("n", "rack", "s", "u", "d", "quandle", "medial", "legendrian")
+
+
+def record_outcome(line):
+    try:
+        return ("ok", parse_record_line(line))
+    except RecordFormatError as exc:
+        return ("error", str(exc))
+
+
+def reversed_tokens(line):
+    return " ".join(reversed(line.split()))
+
+
+class TestRecordFastPath:
+    """A line in the field order ``format_record_lines`` writes is read
+    from its one split; any other line by the token loop.  Both give the
+    same record, or raise the same message."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(record_lines())
+    @example("legendrian=0 medial=1 quandle=0 d=1,2 u=2,1 s=1,2;2,1 rack=0 n=2")
+    @example("rack=x n=2 s=1,2;9 u=2,1 d=1,2 quandle=0 medial=1 legendrian=0")
+    @example("n=2 rack=0 s=1,2;1,2 u=2,2 d=1,2 quandle=1 medial=1 legendrian=true")
+    @example("n=x rack=0 s=1 u=1 d=1 quandle=0 medial=0 legendrian=0")
+    @example("n=1 rack=0 s=1 u=1 d=1 quandle=0 medial=2 legendrian=0")
+    @example("n=1 rack=0 s=1 u=1 d=2 quandle=0 medial=0 legendrian=0")
+    @example("n=1 rack=0 s=1 u=2 d=3 quandle=0 medial=0 legendrian=0")
+    def test_written_order_parses_as_any_order(self, line):
+        tokens = line.split()
+        keys = [token.split("=", 1)[0] for token in tokens]
+        assume(all("=" in token for token in tokens) and len(set(keys)) == len(keys))
+        rank = {key: i for i, key in enumerate(WRITTEN_ORDER)}
+        written = " ".join(
+            sorted(tokens, key=lambda token: rank.get(token.split("=", 1)[0], len(rank)))
+        )
+        assert record_outcome(written) == record_outcome(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_text)
+    def test_written_line_parses_as_its_reversal(self, text):
+        try:
+            record = parse_record_line(text)
+        except RecordFormatError:
+            return
+        line = format_record_line(record)
+        assert record_outcome(reversed_tokens(line)) == record_outcome(line)
+
+    def test_written_order_with_a_bad_token_is_the_loops_error(self):
+        line = "n=1 rack=0 s=1 u=1 d=1 quandle=0 medial=0 legendrian:1"
+        assert record_outcome(line) == ("error", "bad token 'legendrian:1' in record line")
+
+    def test_classified_lines_parse_as_their_reversals(self):
+        for record in classify_gl(4).records:
+            line = format_record_line(record)
+            assert [token.split("=")[0] for token in line.split()] == list(WRITTEN_ORDER)
+            assert record_outcome(reversed_tokens(line)) == record_outcome(line)
+            assert record_outcome(line) == ("ok", record)
 
 
 class TestDeepNesting:

@@ -9,10 +9,8 @@ from glracks.perm import (
     DegreeMismatchError,
     GroupTooLargeError,
     Permutation,
-    are_conjugate,
     centralizer,
     closure,
-    conjugacy_classes,
     conjugation_orbits,
     orbit_centralizers,
     parse_cycles,
@@ -20,6 +18,8 @@ from glracks.perm import (
     row_cycle_type,
     symmetric_group,
 )
+
+from oracles import are_conjugate, conjugacy_classes
 
 
 def perms(max_degree=10):
