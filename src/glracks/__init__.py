@@ -9,7 +9,6 @@ from .perm import (
     Permutation,
     SmallGroup,
     closure,
-    centralizer,
     parse_cycles,
     print_cycles,
 )

@@ -40,11 +40,13 @@ sweeping all of ``S_n``, and the filter of all of ``S_n`` through the
 GL-structure definition.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
-results files and checkpoints hold, so records go to disk as they are; the
-records of a rack come from :func:`formats.gl_records`, which checks each
-class and derives its down map and Legendrian flag (and, for a library
-rack, its medial flag).  A rack that runs out of memory is reported as
-a diagnostic, and the result is then not exhaustive.
+results files hold, so records go to disk as they are; the records of a
+rack come from :func:`formats.gl_records`, which checks each class and
+derives its down map and Legendrian flag (and, for a library rack, its
+medial flag); a checkpoint stores each finished rack's ``u`` list, and
+a resume rebuilds its records through the same builder.  A rack that
+runs out of memory is reported as a diagnostic, and the result is then
+not exhaustive.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ by the same step, and keeps its per-read work (each distinct ``s=``,
 inside this module; :func:`read_racks` hands each record over with its
 checked rack.  A write formats each distinct table and array once.
 
+A checkpoint holds one line per finished rack, with only the ``u`` of
+each record: a resume builds the records again through :func:`gl_records`.
+
 Both text readers have a fast path for the text glracks writes, and a
 general parser that gives every error and message.  A record line with
 the eight fields in the order :func:`format_record_lines` writes them
@@ -218,8 +221,9 @@ class _RackTables:
 
 @dataclass(frozen=True)
 class StructureRecord:
-    """One rack or GL-rack, as stored in results files and checkpoints and
-    as :func:`glracks.classify.classify_gl` returns each class.
+    """One rack or GL-rack, as stored in results files and as
+    :func:`glracks.classify.classify_gl` returns each class (a checkpoint
+    stores only its ``u``, and :func:`read_checkpoint` builds it again).
 
     On load, ``s`` must pass rack validation; when ``u`` is present the pair
     must pass GL validation; when ``d`` is present it must equal the derived
@@ -478,13 +482,15 @@ def checkpoint_header(racks: Sequence[Rack]) -> str:
         digest.update(f"s={_format_table(rack.tables())}\n".encode())
     n = racks[0].n if racks else 0
     return (
-        f"# glracks checkpoint v1 n={n} racks={len(racks)} "
+        f"# glracks checkpoint v2 n={n} racks={len(racks)} "
         f"sha256={digest.hexdigest()}"
     )
 
 
 def append_checkpoint(path: str, completed: list, racks: Sequence[Rack]) -> None:
-    """Append finished racks' records plus per-rack watermarks.
+    """Append one line per finished rack, ``rack=<i> s=<table>
+    u=<u_1>;<u_2>;...``: its table and the ``u`` of each of its records,
+    1-based and in ascending order.
 
     ``completed`` holds ``(rack_index, records)`` pairs for racks of
     ``racks``; a new file starts with :func:`checkpoint_header`.
@@ -493,85 +499,69 @@ def append_checkpoint(path: str, completed: list, racks: Sequence[Rack]) -> None
         if fh.tell() == 0:
             fh.write(checkpoint_header(racks) + "\n")
         for rack_index, records in completed:
-            fh.writelines(line + "\n" for line in format_record_lines(records))
-            fh.write(f"watermark rack={rack_index}\n")
+            table = _format_table(racks[rack_index].tables())
+            us = ";".join(_one_based(u) for u in sorted(r.u for r in records))
+            fh.write(f"rack={rack_index} s={table} u={us}\n")
 
 
-def _parse_watermark(line: str, count: int) -> int:
-    tokens = line.split()
-    if len(tokens) != 2 or not tokens[1].startswith("rack="):
-        raise RecordFormatError(f"bad watermark line {line!r}")
-    index = int(tokens[1][len("rack=") :])
-    if not 0 <= index < count:
-        raise RecordFormatError(f"watermark rack={index} outside 0..{count - 1}")
-    return index
+_RACK_LINE = re.compile(r"rack=(\d+)\s+s=(\S*)\s+u=(\S*)")
 
 
 def read_checkpoint(path: str, racks: Sequence[Rack]):
     """Recover completed rack indices and their records from a checkpoint.
 
     The file must start with the :func:`checkpoint_header` of ``racks``;
-    a checkpoint written for another rack list raises
-    :class:`RecordFormatError`, as does any malformed complete line, and
-    a complete line that is not UTF-8 raises :class:`EncodingError`.  A
-    torn last line (one with no trailing newline) and the records after
-    the last watermark are discarded and cut from the file, so their rack
-    is redone and appended after the last watermark.  An interrupted run
-    thus resumes to the same final output as an uninterrupted one.  A
-    missing file is a fresh start.
+    a checkpoint written for another rack list or format raises
+    :class:`RecordFormatError`, as does any malformed complete line (see
+    :func:`append_checkpoint`), and a complete line that is not UTF-8
+    raises :class:`EncodingError`.  Each rack's records are built again
+    by :func:`gl_records`, which checks each ``u`` and derives its ``d``
+    and flags.  A torn last line (one with no trailing newline) is
+    discarded and cut from the file, so its rack is redone and appended.
+    An interrupted run thus resumes to the same final output as an
+    uninterrupted one.  A missing file is a fresh start.
     """
     done: set[int] = set()
     records: list[StructureRecord] = []
-    checked = _RackTables()
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return done, records
-    kept = 0  # bytes up to the end of the header or the last watermark
-    offset = 0
-    pending: list[StructureRecord] = []
-    # the piece after the last newline is empty or a torn line
-    for lineno, raw in enumerate(data.split(b"\n")[:-1], start=1):
-        offset += len(raw) + 1
+    kept = data.rfind(b"\n") + 1  # what follows is empty or a torn line
+    try:
+        lines = data[:kept].decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    header = checkpoint_header(racks)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
         try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-        try:
-            if lineno == 1:
-                header = checkpoint_header(racks)
-                if line != header:
-                    raise RecordFormatError(
-                        f"checkpoint belongs to another rack list: found "
-                        f"{line!r}, expected {header!r}"
-                    )
-                kept = offset
-            elif not line or line.startswith("#"):
+            if lineno == 1 and line != header:
+                raise RecordFormatError(
+                    f"checkpoint belongs to another rack list: found "
+                    f"{line!r}, expected {header!r}"
+                )
+            if lineno == 1 or not line or line.startswith("#"):
                 continue
-            elif line.startswith("watermark"):
-                index = _parse_watermark(line, len(racks))
-                if index in done:
-                    raise RecordFormatError(f"second watermark rack={index}")
-                if not pending:  # every rack has its u = id record
-                    raise RecordFormatError(f"watermark rack={index} follows no records")
-                tables = racks[index].tables()
-                for sr in pending:
-                    if sr.rack_index != index or sr.s != tables:
-                        raise RecordFormatError(
-                            f"record for rack {sr.rack_index} before the "
-                            f"watermark of rack {index}"
-                        )
-                records.extend(pending)
-                done.add(index)
-                pending = []
-                kept = offset
-            else:
-                sr = _parse_line(line, checked)
-                if sr.u is None or sr.d is None or sr.flags is None:
-                    raise RecordFormatError("checkpoint record lacks u, d or flags")
-                checked.table(sr.n, sr.s).validate(sr)
-                pending.append(sr)
+            fields = _RACK_LINE.fullmatch(line)
+            if fields is None:
+                raise RecordFormatError(f"bad checkpoint line {line!r}")
+            index = int(fields[1])
+            if index >= len(racks):
+                raise RecordFormatError(f"rack={index} outside 0..{len(racks) - 1}")
+            if index in done:
+                raise RecordFormatError(f"second line for rack {index}")
+            rack = racks[index]
+            if fields[2] != _format_table(rack.tables()):
+                raise RecordFormatError(f"s is not the table of rack {index}")
+            us = [_parse_images(text, rack.n, "u") for text in fields[3].split(";")]
+            rising = all(a < b for a, b in zip(us, us[1:]))
+            # every rack has its u = id record, the least u
+            if us[0] != tuple(range(rack.n)) or not rising:
+                raise RecordFormatError("u list does not rise from the identity")
+            records += gl_records(rack, map(Permutation.unchecked, us), index)
+            done.add(index)
         except (RecordFormatError, RackError, ValueError) as exc:
             raise RecordFormatError(f"{path}:{lineno}: {exc}") from exc
     if kept < len(data):

@@ -27,7 +27,6 @@ __all__ = [
     "parse_cycles",
     "print_cycles",
     "closure",
-    "centralizer",
     "conjugation_orbits",
     "orbit_centralizers",
 ]
@@ -342,23 +341,6 @@ def _row_getter(row: tuple[int, ...]):
     return lambda seq: tuple(seq[i] for i in row)
 
 
-def centralizer(group: SmallGroup, others: Iterable[Permutation]) -> SmallGroup:
-    """The subgroup of ``group`` commuting with every permutation in ``others``."""
-    others = list(others)
-    for s in others:
-        if s.degree != group.degree:
-            raise DegreeMismatchError("centralized elements must match group degree")
-    # each distinct s with the getter of the row of g s, for any g
-    then_s = [(si, _row_getter(si)) for si in {s.images for s in others}]
-    members = []
-    for g in group.elements:
-        gi = g.images
-        then_g = _row_getter(gi)  # the row of s g, for any s
-        if all(then(gi) == then_g(si) for si, then in then_s):
-            members.append(g)
-    return SmallGroup(group.degree, tuple(members), tuple(members))
-
-
 def _strong_generators(group: SmallGroup) -> list[Permutation]:
     """A small generating set of ``group``, read off its element list.
 
@@ -439,14 +421,14 @@ def orbit_centralizers(
     members: Iterable[tuple[int, ...]], group: SmallGroup
 ) -> list[tuple[list[tuple[int, ...]], SmallGroup]]:
     """The orbits of :func:`conjugation_orbits`, each with the centralizer
-    in ``group`` of its least member ``a``: ``centralizer(group, [a])``,
-    its elements in the same order.
+    in ``group`` of its least member ``a``, its elements in the order of
+    ``group.elements`` (the tests' ``oracles.centralizer(group, [a])``).
 
     Each orbit's centralizer is one scan of ``group`` for the ``g`` with
     ``g a == a g``, and the getter of each element is built once per call,
-    not once per orbit as calling :func:`centralizer` for each orbit would.
-    That per-orbit rebuild, and Schreier generators of each stabilizer
-    closed by :func:`closure`, both measured slower than this scan.
+    not once per orbit as a centralizer call for each orbit would.  That
+    per-orbit rebuild, and Schreier generators of each stabilizer closed
+    by :func:`closure`, both measured slower than this scan.
     """
     # each g with the getter of the row of a g, for any a
     scan = [(g, _row_getter(g.images)) for g in group.elements]

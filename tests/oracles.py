@@ -14,6 +14,8 @@ from glracks.glrack import is_gl_structure
 from glracks.perm import (
     DegreeMismatchError,
     Permutation,
+    SmallGroup,
+    _row_getter,
     conjugation_orbits,
     symmetric_group,
 )
@@ -151,3 +153,20 @@ def conjugacy_classes(group):
         tuple(Permutation.unchecked(t) for t in orbit)
         for orbit in conjugation_orbits((p.images for p in group.elements), group)
     ]
+
+
+def centralizer(group, others):
+    """The subgroup of ``group`` commuting with every permutation in ``others``."""
+    others = list(others)
+    for s in others:
+        if s.degree != group.degree:
+            raise DegreeMismatchError("centralized elements must match group degree")
+    # each distinct s with the getter of the row of g s, for any g
+    then_s = [(si, _row_getter(si)) for si in {s.images for s in others}]
+    members = []
+    for g in group.elements:
+        gi = g.images
+        then_g = _row_getter(gi)  # the row of s g, for any s
+        if all(then(gi) == then_g(si) for si, then in then_s):
+            members.append(g)
+    return SmallGroup(group.degree, tuple(members), tuple(members))

@@ -15,11 +15,18 @@ from glracks.classify import (
 from glracks.functors import functor_g
 from glracks.glrack import check_gl
 from glracks.morphisms import aut_group, find_gl_iso, is_isomorphic
-from glracks.perm import Permutation, centralizer, conjugation_orbits
+from glracks.perm import Permutation, conjugation_orbits
 from glracks.racks import check_rack, dihedral, is_medial, is_quandle
 
 from golden_tables import EXPECTED_COUNTS, RACK_COUNTS
-from oracles import gl_structures_brute, oracle_min, rack_first, relabel_by, sweep_dedupe
+from oracles import (
+    centralizer,
+    gl_structures_brute,
+    oracle_min,
+    rack_first,
+    relabel_by,
+    sweep_dedupe,
+)
 from test_acceptance import long_run_only
 
 

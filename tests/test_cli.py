@@ -269,6 +269,18 @@ class TestClassify:
         assert code == 0
         assert out.splitlines()[-1] == self.LONG_CHECK_LAST_LINE[n]
 
+    @pytest.mark.parametrize("n", [7, pytest.param(8, marks=long_run_only)])
+    def test_long_run_resume_from_a_torn_checkpoint(self, capsys, tmp_path, n):
+        ckpt, path = str(tmp_path / "ckpt.txt"), str(tmp_path / "cls.txt")
+        argv = ("classify", "-n", str(n), "--long-run", "--checkpoint", ckpt)
+        assert run(capsys, *argv)[0] == 0
+        os.truncate(ckpt, os.path.getsize(ckpt) // 2)
+        with open(ckpt, "rb") as fh:
+            assert not fh.read().endswith(b"\n")  # cut mid-line
+        assert run(capsys, *argv, "--out", path)[0] == 0
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.LONG_OUT_SHA256[n]
+
     def test_enumerate_racks_order_7_bytes(self, capsys, tmp_path):
         # ``racks-7.txt`` in perfbench/data/expected.json: 2080 canonical
         # forms, each one lex-least table of its class, in sorted order
@@ -482,12 +494,36 @@ class TestClassify:
         assert run(capsys, *argv)[0] == 0
         with open(ckpt) as fh:
             lines = fh.readlines()
-        lines[2] = lines[2].replace("medial=", "medial=x")
+        assert lines[2].startswith("rack=1 ")
+        lines[2] = lines[2].replace(" u=1,2,3,4;", " u=1,2,3,x;", 1)
         with open(ckpt, "w") as fh:
             fh.writelines(lines)
         code, _out, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error:") and ":3:" in err
+
+    @pytest.mark.parametrize("case", ["u-twice", "line-twice", "no-identity", "v1-header"])
+    def test_checkpoint_tampered_exits_1(self, capsys, tmp_path, case):
+        # each is refused at its line; rack 0's u = id read twice would
+        # print g=63 g_m=62 g_q=20 g_qm=19, and check would pass that output
+        ckpt = str(tmp_path / "ckpt.txt")
+        argv = ("classify", "-n", "4", "--checkpoint", ckpt)
+        assert run(capsys, *argv)[0] == 0
+        with open(ckpt) as fh:
+            header, rack0, *rest = fh.readlines()
+        assert rack0.startswith("rack=0 ") and " u=1,2,3,4;" in rack0
+        lineno, lines = {
+            "u-twice": (2, [header, rack0.replace(" u=1,2,3,4;", " u=1,2,3,4;1,2,3,4;")]),
+            "line-twice": (3, [header, rack0, rack0]),
+            "no-identity": (2, [header, rack0.replace(" u=1,2,3,4;", " u=")]),
+            "v1-header": (1, [header.replace(" v2 ", " v1 "), rack0]),
+        }[case]
+        with open(ckpt, "w") as fh:
+            fh.writelines(lines + rest)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f":{lineno}:" in err
 
     @pytest.mark.parametrize("quandles", [(), ("--quandles",)])
     def test_checkpoint_bare_watermark_exits_1(self, capsys, tmp_path, quandles):

@@ -177,28 +177,32 @@ class TestOneCheckPerTable:
                 record.validate()
 
     @pytest.mark.parametrize(
-        "field, tampered",
+        "field, tampered, error",
         [
-            ("medial=1", "medial=0"),
-            ("legendrian=0", "legendrian=1"),
-            ("d=1,2,3", "d=3,2,1"),
-            ("u=3,1,2", "u=3,2,1"),
+            pytest.param(";3,1,2", ";3,1,1", "u array", id="u-not-a-bijection"),
+            pytest.param(";3,1,2", ";3,2,1", "u is not a rack", id="u-not-gl"),
+            pytest.param(";3,1,2", ";2,3,1;3,1,2", "u list", id="u-repeated"),
+            pytest.param("u=1,2,3;", "u=", "u list", id="no-identity"),
+            pytest.param(
+                "s=2,3,1;2,3,1;2,3,1", "s=1,3,2;3,2,1;2,1,3", "s is not", id="s-of-rack-4"
+            ),
         ],
     )
-    def test_checkpoint_refuses_a_tampered_later_record(self, tmp_path, field, tampered):
+    def test_checkpoint_refuses_a_tampered_later_record(
+        self, tmp_path, field, tampered, error
+    ):
         racks = enumerate_racks(3)
         path = str(tmp_path / "ckpt.txt")
         classify_gl(3, racks, checkpoint_path=path)
         with open(path) as fh:
             lines = fh.readlines()
-        # the last record of rack 5, after two good records on its table
-        lineno = max(i for i, line in enumerate(lines, start=1) if "rack=5 " in line)
-        assert lines[lineno - 3].startswith("n=3 rack=5")
-        assert field in lines[lineno - 1]
-        lines[lineno - 1] = lines[lineno - 1].replace(field, tampered, 1)
+        # the line of rack 5, the last one, after five good lines
+        lineno = len(lines)
+        assert lines[-1] == "rack=5 s=2,3,1;2,3,1;2,3,1 u=1,2,3;2,3,1;3,1,2\n"
+        lines[-1] = lines[-1].replace(field, tampered, 1)
         with open(path, "w") as fh:
             fh.writelines(lines)
-        with pytest.raises(RecordFormatError, match=f":{lineno}:"):
+        with pytest.raises(RecordFormatError, match=f":{lineno}: {error}"):
             read_checkpoint(path, racks)
 
     def test_checkpoint_records_use_the_checked_rack(self, tmp_path):
@@ -367,7 +371,7 @@ class TestCheckpoints:
         racks = enumerate_racks(5)
         full = classify_gl(5, racks)
         # simulate a kill after an arbitrary prefix of racks, plus a torn
-        # trailing record with no watermark
+        # trailing line: the next rack's line with no newline
         path = str(tmp_path / "ckpt.txt")
         prefix = 30
         by_rack = {}
@@ -376,11 +380,12 @@ class TestCheckpoints:
         append_checkpoint(
             path, [(i, by_rack.get(i, [])) for i in range(prefix)], racks
         )
-        torn = by_rack[prefix][0]
-        with open(path, "a") as fh:
-            fh.write(format_record_line(torn) + "\n")
+        size = os.path.getsize(path)
+        append_checkpoint(path, [(prefix, by_rack[prefix])], racks)
+        os.truncate(path, os.path.getsize(path) - 1)
         done, recovered = read_checkpoint(path, racks)
         assert done == set(range(prefix))
+        assert os.path.getsize(path) == size
         assert all(rec.rack_index < prefix for rec in recovered)
         resumed = classify_gl(5, racks, checkpoint_path=path)
         key = lambda rec: (rec.rack_index, rec.u)
@@ -425,28 +430,28 @@ class TestCheckpoints:
         with pytest.raises(RecordFormatError, match=":2:"):
             read_checkpoint(path, racks)
 
-    def test_second_watermark_of_a_rack_is_rejected(self, tmp_path):
-        # rack 0's block written twice would count its records twice
+    def test_a_rack_line_written_twice_is_rejected(self, tmp_path):
+        # rack 0's line written twice would count its records twice
         racks = enumerate_racks(3)
         path = str(tmp_path / "ckpt.txt")
         classify_gl(3, racks, checkpoint_path=path)
         with open(path) as fh:
             lines = fh.readlines()
-        end = lines.index("watermark rack=0\n") + 1
         with open(path, "w") as fh:
-            fh.writelines(lines[:end] + lines[1:end])
-        with pytest.raises(RecordFormatError, match=f":{2 * end - 1}: second"):
+            fh.writelines(lines + lines[1:2])
+        with pytest.raises(RecordFormatError, match=f":{len(lines) + 1}: second"):
             read_checkpoint(path, racks)
 
-    def test_watermark_without_records_is_rejected(self, tmp_path):
-        # every rack has its u = id record, so a bare watermark loses some
+    @pytest.mark.parametrize("us", ["", "1,3,2"], ids=["empty", "id-less"])
+    def test_an_empty_or_id_less_u_list_is_rejected(self, tmp_path, us):
+        # every rack has its u = id record, so a list without it loses some
         from glracks.formats import checkpoint_header
 
         racks = enumerate_racks(3)
         path = str(tmp_path / "ckpt.txt")
         with open(path, "w") as fh:
-            fh.write(checkpoint_header(racks) + "\nwatermark rack=0\n")
-        with pytest.raises(RecordFormatError, match=":2: watermark rack=0 follows"):
+            fh.write(checkpoint_header(racks) + f"\nrack=0 s=1,2,3;1,2,3;1,2,3 u={us}\n")
+        with pytest.raises(RecordFormatError, match=":2: u "):
             read_checkpoint(path, racks)
 
     def test_missing_checkpoint_is_fresh_start(self, tmp_path):

@@ -26,7 +26,7 @@ from glracks.morphisms import (
     _pointwise_rack,
 )
 from glracks import classify, morphisms, perm
-from glracks.perm import GroupTooLargeError, Permutation, centralizer, parse_cycles
+from glracks.perm import GroupTooLargeError, Permutation, parse_cycles
 from glracks.racks import (
     _SHARED,
     check_rack,
@@ -38,7 +38,7 @@ from glracks.racks import (
     trivial_quandle,
 )
 
-from oracles import pointwise_tables
+from oracles import centralizer, pointwise_tables
 
 
 def _relabel(rack, p):

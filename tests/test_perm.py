@@ -9,7 +9,6 @@ from glracks.perm import (
     DegreeMismatchError,
     GroupTooLargeError,
     Permutation,
-    centralizer,
     closure,
     conjugation_orbits,
     orbit_centralizers,
@@ -19,7 +18,7 @@ from glracks.perm import (
     symmetric_group,
 )
 
-from oracles import are_conjugate, conjugacy_classes
+from oracles import are_conjugate, centralizer, conjugacy_classes
 
 
 def perms(max_degree=10):

@@ -19,7 +19,6 @@ from glracks.perm import (
     Permutation,
     SmallGroup,
     _strong_generators,
-    centralizer,
     closure,
     conjugation_orbits,
     symmetric_group,
@@ -32,6 +31,8 @@ from glracks.racks import (
     check_rack,
     is_medial,
 )
+
+from oracles import centralizer
 
 # ---------------------------------------------------------------------------
 # Oracles: one point at a time
