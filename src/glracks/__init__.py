@@ -27,7 +27,6 @@ from .racks import (
     conjugation_quandle,
     associated_quandle,
     medialization,
-    transvection_group,
     profile,
 )
 from .glrack import GLRack, GLFlags, check_gl, down_map, is_legendrian, flags
@@ -35,7 +34,6 @@ from .morphisms import (
     is_rack_hom,
     enumerate_homs,
     find_iso,
-    is_isomorphic,
     aut_group,
     is_gl_hom,
     enumerate_gl_homs,
@@ -43,7 +41,6 @@ from .morphisms import (
     aut_glr,
     hom_rack,
     hom_glrack,
-    is_bihom,
 )
 from .classify import (
     CountReport,
@@ -53,7 +50,7 @@ from .classify import (
     classify_gl,
     count_report,
 )
-from .functors import functor_f, functor_g, roundtrip_check, hom_transport_check
+from .functors import functor_f, functor_g, roundtrip_check
 from .formats import StructureRecord, ingest_rack_library
 
 __version__ = "0.1.0"

@@ -370,16 +370,20 @@ def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[tuple[bytes, SmallGr
     is ``S_n``.
     """
     trivial = bytes(range(n)) * n
-    remaining = set(labeled)
+    members = set(labeled)
+    met: set[bytes] = set()
     classes = []
-    while remaining:
-        rep = min(remaining)
+    # the classes partition the members, so an orbit from the least table
+    # not yet met never meets an earlier class
+    for rep in sorted(members):
+        if rep in met:
+            continue
         by_table: dict[bytes, list[tuple[int, ...]]] = {}
         for p, pinv in _normal_relabelings(rep, n):
             by_table.setdefault(_relabel(rep, n, p, pinv), []).append(p)
-        if not by_table.keys() <= remaining:
+        if not by_table.keys() <= members:
             raise ValueError(f"relabeling orbit of {rep} leaves the member set")
-        remaining.difference_update(by_table)
+        met.update(by_table)
         autos = tuple(Permutation.unchecked(p) for p in sorted(by_table[rep]))
         aut = SmallGroup(n, autos, autos) if rep != trivial else symmetric_group(n)
         classes.append((rep, aut))
@@ -387,16 +391,17 @@ def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[tuple[bytes, SmallGr
 
 
 def _canonical(
-    flat: bytes, n: int, autos: Sequence[Sequence[int]] = ()
+    flat: bytes, n: int, autos: Sequence[Sequence[int]]
 ) -> tuple[bytes, tuple[int, ...], list[int]]:
     """The lexicographically least relabeling of a flattened rack, i.e.
     ``min(_relabel(flat, n, p, p^-1) for p in S_n)``, with a relabeling
     ``p`` that gives it and ``p^-1``.
 
     Taken over the relabelings of :func:`_normal_relabelings` only, skipping
-    those that the automorphisms ``autos`` show to repeat a table.  With all
-    of ``Aut R`` each distinct table is relabeled once; fewer automorphisms,
-    or none, give the same result with more work.
+    those that the automorphisms ``autos`` show to repeat a table.
+    :func:`_enumerate` passes all of ``Aut R``, and each distinct table is
+    then relabeled once; any subset of ``Aut R``, even an empty one, gives
+    the same result with more work.
     """
     relabeled = (
         (_relabel(flat, n, p, pinv), p, pinv)

@@ -42,9 +42,10 @@ def _fail(message: str, code: int) -> int:
 
 
 def _check_out(out: Optional[str]) -> None:
-    """Fail at once on an ``out`` path that cannot be opened for writing, so
-    that a bad path costs no search.  The check opens it for append, which
-    keeps an existing file as it is, and removes a file that it made."""
+    """Fail at once on an ``out`` or checkpoint path that cannot be opened
+    for writing, so that a bad path costs no search.  The check opens it
+    for append, which keeps an existing file as it is, and removes a file
+    that it made."""
     if out is None:
         return
     existed = os.path.lexists(out)
@@ -110,6 +111,7 @@ def cmd_classify(args) -> int:
     if args.jobs > 1 and args.source == "enumerate":
         return _fail("--jobs applies only to --source libraries", EXIT_INVALID)
     _check_out(args.out)
+    _check_out(args.checkpoint)
     racks = None
     if args.source != "enumerate":
         try:
@@ -181,6 +183,7 @@ def cmd_glstructures(args) -> int:
 
 
 def cmd_functor(args) -> int:
+    _check_out(args.out)
     out_records = []
     for rec, rack in _load_records(args.file):
         if args.direction == "f":
@@ -222,6 +225,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    _check_out(args.out)
     out_records = []
     for _rec, rack in _load_records(args.file):
         if args.kind == "assoc":

@@ -141,14 +141,13 @@ class _Table:
         d, fl = self._derive(u)
         return StructureRecord(self.n, self.s, u.images, d, fl, rack_index)
 
-    def validate(self, record: StructureRecord, parsed: bool = True) -> None:
-        """Check ``record``, a record of this table: its ``u``, and its
-        ``d`` and flags against those :meth:`_derive` gives.  A ``parsed``
-        record's ``u`` is known to be a bijection; any other's is checked."""
+    def validate(self, record: StructureRecord) -> None:
+        """Check ``record``, a record of this table whose ``u``, if any, is
+        known to be a bijection (a parsed one is): its ``u``, and its ``d``
+        and flags against those :meth:`_derive` gives."""
         self.rack  # raises for a table that is not a rack
         if record.u is not None:
-            u = Permutation.unchecked(record.u) if parsed else Permutation(record.u)
-            d, fl = self._derive(u)
+            d, fl = self._derive(Permutation.unchecked(tuple(record.u)))
             if record.d is not None and d != tuple(record.d):
                 raise RecordFormatError(
                     f"stored d {_one_based(record.d)} != derived down map "
@@ -248,7 +247,11 @@ class StructureRecord:
 
     def validate(self) -> None:
         """Full cross-check; raises on any inconsistency."""
-        _Table(self.n, self.s).validate(self, parsed=False)
+        table = _Table(self.n, self.s)
+        if self.u is not None:
+            table.rack  # a table that is not a rack is reported first
+            Permutation(self.u)  # raises for a u that is no bijection
+        table.validate(self)
 
 
 def _one_based(images: Sequence[int]) -> str:
@@ -310,8 +313,8 @@ def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
                 n = int(n_t[2:])
                 rack_index = int(rack_t[5:])
             except ValueError:
-                pass
-            else:
+                rack_index = -1
+            if rack_index >= 0:  # any other line is the token loop's to report
                 parse = tables.parse
                 s = parse("s", n, s_t[2:])
                 u = parse("u", n, u_t[2:])
@@ -340,6 +343,8 @@ def _parse_line(line: str, tables: _RackTables) -> StructureRecord:
             rack_index = int(fields.pop("rack"))
         except ValueError as exc:
             raise RecordFormatError("bad rack field") from exc
+        if rack_index < 0:  # an index into the rack list
+            raise RecordFormatError("bad rack field")
     fl = None
     flag_texts = [fields.pop(k, None) for k in _FLAG_KEYS]
     if flag_texts != [None, None, None]:
@@ -416,7 +421,7 @@ def scan_records(path: str) -> Iterator[tuple[int, StructureRecord | ValueError]
 def _scan_lines(lines: list[str], tables: _RackTables):
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line or line.startswith("#") or line.startswith("watermark"):
+        if not line or line.startswith("#"):
             continue
         try:
             found = _parse_line(line, tables)

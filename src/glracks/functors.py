@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .glrack import GLRack, check_gl
-from .morphisms import is_gl_hom, is_rack_hom
 from .racks import Rack, check_rack, is_medial, is_quandle, theta
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "functor_g",
     "RoundTripReport",
     "roundtrip_check",
-    "hom_transport_check",
 ]
 
 
@@ -69,11 +67,3 @@ def roundtrip_check(racks=(), gl_quandles=()) -> RoundTripReport:
         if back.rack.tables() != gl.rack.tables() or back.u != gl.u:
             report.failures.append(f"F(G(Q)) != Q for {gl!r}")
     return report
-
-
-def hom_transport_check(source: Rack, target: Rack, phi) -> bool:
-    """Whether ``phi`` is simultaneously a rack hom R -> S and a GL-hom
-    F(R) -> F(S), and the same two ways for non-homs (transport is exact)."""
-    as_rack_hom = is_rack_hom(source, target, phi)
-    as_gl_hom = is_gl_hom(functor_f(source), functor_f(target), phi)
-    return as_rack_hom == as_gl_hom

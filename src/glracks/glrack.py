@@ -21,7 +21,6 @@ __all__ = [
     "NotAutomorphismError",
     "DoesNotCommuteError",
     "check_gl",
-    "is_gl_structure",
     "down_map",
     "is_legendrian",
     "flags",
@@ -103,14 +102,6 @@ def check_gl(rack: Rack, u: Permutation) -> GLRack:
                 if row != s_u[x]:
                     raise DoesNotCommuteError(x)
     return GLRack(rack, u)
-
-
-def is_gl_structure(rack: Rack, u: Permutation) -> bool:
-    try:
-        check_gl(rack, u)
-    except GLRackError:
-        return False
-    return True
 
 
 def down_map(gl: GLRack) -> Permutation:

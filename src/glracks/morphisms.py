@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import perm
 from .glrack import GLRack, check_gl
@@ -52,7 +52,6 @@ __all__ = [
     "is_rack_hom",
     "enumerate_homs",
     "find_iso",
-    "is_isomorphic",
     "aut_group",
     "is_gl_hom",
     "enumerate_gl_homs",
@@ -60,8 +59,6 @@ __all__ = [
     "aut_glr",
     "hom_rack",
     "hom_glrack",
-    "is_bihom",
-    "is_gl_bihom",
 ]
 
 Map = tuple[int, ...]
@@ -227,10 +224,6 @@ def find_iso(source: Rack, target: Rack) -> Optional[Permutation]:
     found = _search(source, target, candidates, injective=True, limit=1)
     # an injective map between carriers of one size is a bijection
     return Permutation.unchecked(found[0]) if found else None
-
-
-def is_isomorphic(source: Rack, target: Rack) -> bool:
-    return find_iso(source, target) is not None
 
 
 def _type_candidates(rack: Rack) -> list[list[int]]:
@@ -404,33 +397,3 @@ def hom_glrack(g1: GLRack, g2: GLRack) -> tuple[GLRack, list[Map]]:
     u2 = g2.u.images
     u = Permutation([index[tuple(u2[v] for v in phi)] for phi in gl_homs])
     return check_gl(rack, u), gl_homs
-
-
-# ---------------------------------------------------------------------------
-# Bihomomorphisms
-
-
-def is_bihom(
-    r1: Rack, r2: Rack, r3: Rack, beta: Callable[[int, int], int]
-) -> bool:
-    """Whether ``beta`` on the product carrier is a rack bihomomorphism:
-    every slice ``beta(-, y)`` and ``beta(x, -)`` is a rack homomorphism."""
-    for y in range(r2.n):
-        if not is_rack_hom(r1, r3, tuple(beta(x, y) for x in range(r1.n))):
-            return False
-    for x in range(r1.n):
-        if not is_rack_hom(r2, r3, tuple(beta(x, y) for y in range(r2.n))):
-            return False
-    return True
-
-
-def is_gl_bihom(
-    g1: GLRack, g2: GLRack, g3: GLRack, beta: Callable[[int, int], int]
-) -> bool:
-    for y in range(g2.n):
-        if not is_gl_hom(g1, g3, tuple(beta(x, y) for x in range(g1.n))):
-            return False
-    for x in range(g1.n):
-        if not is_gl_hom(g2, g3, tuple(beta(x, y) for y in range(g2.n))):
-            return False
-    return True

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
-from functools import total_ordering
+from dataclasses import dataclass
+from functools import cached_property, total_ordering
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -123,9 +123,6 @@ class Permutation:
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, sorted descending."""
         return row_cycle_type(self.images)
-
-    def order(self) -> int:
-        return math.lcm(1, *(len(c) for c in self.cycles()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -245,33 +242,26 @@ class SmallGroup:
 
     ``elements`` is the closure of ``generators``, sorted lexicographically
     on image arrays; this ordering makes representatives reproducible.
+    The member set behind ``in`` is built on the first test.
     """
 
     degree: int
     generators: tuple[Permutation, ...]
     elements: tuple[Permutation, ...]
-    _members: frozenset = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(p.images for p in self.elements))
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(p.images for p in self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
         return p.images in self._members
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
-
-    def is_abelian(self) -> bool:
-        gens = self.generators if self.generators else self.elements
-        return all((a * b).images == (b * a).images for a in gens for b in gens)
-
-    def is_symmetric(self) -> bool:
-        """Whether this group is the full symmetric group on its points."""
-        return len(self.elements) == math.factorial(self.degree)
 
 
 def symmetric_group(degree: int) -> SmallGroup:
@@ -392,10 +382,14 @@ def conjugation_orbits(
     gens = [
         (g.images, _row_getter(g.inverse().images)) for g in _strong_generators(group)
     ]
-    remaining = set(members)
+    members = set(members)
+    met: set[tuple[int, ...]] = set()
     orbits = []
-    while remaining:
-        a = min(remaining)
+    # orbits partition the members, so a walk from the least member not
+    # yet met never meets an earlier orbit
+    for a in sorted(members):
+        if a in met:
+            continue
         orbit = {a}
         frontier = [a]
         while frontier:
@@ -405,14 +399,14 @@ def conjugation_orbits(
                 for gi, at_inv in gens:
                     c = at_inv(then_b(gi))  # g b g^-1
                     if c not in orbit:
-                        if c not in remaining:
+                        if c not in members:
                             raise ValueError(
                                 f"conjugation orbit of {a} leaves the member set"
                             )
                         orbit.add(c)
                         found.append(c)
             frontier = found
-        remaining -= orbit
+        met |= orbit
         orbits.append(sorted(orbit))
     return orbits
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .perm import (
     GroupTooLargeError,
@@ -31,7 +31,6 @@ __all__ = [
     "is_quandle",
     "is_medial",
     "inn_group",
-    "transvection_group",
     "dual",
     "theta",
     "permutation_rack",
@@ -198,11 +197,6 @@ def is_medial(rack: Rack) -> bool:
         if list(zip(*matrix)) != matrix:
             return False
     return True
-
-
-def transvection_group(rack: Rack) -> SmallGroup:
-    """Closure of ``{s_x s_y^-1}``; abelian exactly when the rack is medial."""
-    return closure((p * q.inverse() for p in rack.s for q in rack.s), degree=rack.n)
 
 
 def inn_group(rack: Rack) -> SmallGroup:

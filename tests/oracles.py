@@ -10,12 +10,14 @@ import functools
 import itertools
 
 from glracks import classify, racks
-from glracks.glrack import is_gl_structure
+from glracks.glrack import GLRackError, check_gl
+from glracks.morphisms import is_gl_hom, is_rack_hom
 from glracks.perm import (
     DegreeMismatchError,
     Permutation,
     SmallGroup,
     _row_getter,
+    closure,
     conjugation_orbits,
     symmetric_group,
 )
@@ -53,6 +55,15 @@ def rack_first(n):
     return tuple(classify._search([None] * n, [perms] * n))
 
 
+def is_gl_structure(rack, u):
+    """Whether ``u`` passes the GL-structure definition on ``rack``."""
+    try:
+        check_gl(rack, u)
+    except GLRackError:
+        return False
+    return True
+
+
 def gl_structures_brute(rack):
     """Every permutation of the carrier that the GL-structure definition
     accepts."""
@@ -83,6 +94,18 @@ def is_subrack(rack, subset):
             if p.images[z] not in members or inv.images[z] not in members:
                 return False
     return True
+
+
+def transvection_group(rack):
+    """Closure of ``{s_x s_y^-1}``; abelian exactly when the rack is medial."""
+    return closure((p * q.inverse() for p in rack.s for q in rack.s), degree=rack.n)
+
+
+def is_abelian(group):
+    """Whether the generators of ``group`` (its elements, if it has none)
+    commute pairwise."""
+    gens = group.generators if group.generators else group.elements
+    return all((a * b).images == (b * a).images for a in gens for b in gens)
 
 
 def medialization_brute(rack):
@@ -170,3 +193,26 @@ def centralizer(group, others):
         if all(then(gi) == then_g(si) for si, then in then_s):
             members.append(g)
     return SmallGroup(group.degree, tuple(members), tuple(members))
+
+
+def is_bihom(r1, r2, r3, beta):
+    """Whether ``beta`` on the product carrier is a rack bihomomorphism:
+    every slice ``beta(-, y)`` and ``beta(x, -)`` is a rack homomorphism."""
+    for y in range(r2.n):
+        if not is_rack_hom(r1, r3, tuple(beta(x, y) for x in range(r1.n))):
+            return False
+    for x in range(r1.n):
+        if not is_rack_hom(r2, r3, tuple(beta(x, y) for y in range(r2.n))):
+            return False
+    return True
+
+
+def is_gl_bihom(g1, g2, g3, beta):
+    """Whether every slice of ``beta`` is a GL-rack homomorphism."""
+    for y in range(g2.n):
+        if not is_gl_hom(g1, g3, tuple(beta(x, y) for x in range(g1.n))):
+            return False
+    for x in range(g1.n):
+        if not is_gl_hom(g2, g3, tuple(beta(x, y) for y in range(g2.n))):
+            return False
+    return True

@@ -80,10 +80,10 @@ class TestCheck:
             f"{path}:{lineno}: INVALID: {MIXED_ERRORS[lineno]}"
             if lineno in MIXED_ERRORS
             else f"{path}:{lineno}: ok"
-            for lineno in (2, 3, 4, 5, 6, 8, 9, 10)
+            for lineno in (2, 3, 4, 5, 6, 7, 8, 9, 10)
         ]
         assert code == 1
-        assert out.splitlines() == expected + ["2/8 structures valid"]
+        assert out.splitlines() == expected + ["2/9 structures valid"]
 
 
 class TestUnreadableInput:
@@ -177,6 +177,37 @@ class TestUnwritableOutput:
         assert info.value.code == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_bad_checkpoint_fails_before_the_search(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from glracks import classify
+
+        def searched(n):
+            raise AssertionError("the search ran before --checkpoint was checked")
+
+        monkeypatch.setattr(classify, "_labeled_racks", searched)
+        ckpt = str(tmp_path / "missing" / "ckpt.txt")
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "-n", "7", "--long-run", "--checkpoint", ckpt])
+        assert info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [("quotient", "medial"), ("functor", "f")], ids=["quotient", "functor"]
+    )
+    def test_bad_out_fails_before_any_output(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "t3.txt")
+        write_records(path, [StructureRecord(n=3, s=dihedral(3).tables())])
+        out = str(tmp_path / "missing" / "x.txt")
+        with pytest.raises(SystemExit) as info:
+            main([*argv, path, "--out", out])
+        assert info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["classify", "enumerate-racks"])
     @pytest.mark.parametrize("existed", [False, True])
@@ -483,10 +514,13 @@ class TestClassify:
             assert open(p1).read() == open(p2).read()
 
     def test_checkpoint_unwritable_exits_3(self, capsys, tmp_path):
+        # checked before the search, as --out is, so the exit comes from
+        # the early check's SystemExit
         ckpt = str(tmp_path / "missing-dir" / "ckpt.txt")
-        code, _out, err = run(capsys, "classify", "-n", "2", "--checkpoint", ckpt)
-        assert code == 3
-        assert err.startswith("error:")
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "-n", "2", "--checkpoint", ckpt])
+        assert info.value.code == 3
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_checkpoint_malformed_middle_line(self, capsys, tmp_path):
         ckpt = str(tmp_path / "ckpt.txt")

@@ -70,6 +70,9 @@ class TestRecordLines:
             "n=2 s=1,2;1,2 u=1,2 quandle=1",  # partial flags
             "n=2 s=1,2;1,2 color=red",  # unknown field
             "n=2 s=0,1;0,1",  # 0-based rows rejected
+            "n=3 rack=-1 s=1,2,3;1,2,3;1,2,3",  # negative rack index
+            # the same in the written field order
+            "n=3 rack=-1 s=1,2,3;1,2,3;1,2,3 u=1,2,3 d=1,2,3 quandle=1 medial=1 legendrian=1",
         ],
     )
     def test_malformed_lines(self, line):
@@ -106,8 +109,9 @@ class TestRecordLines:
 
 # Records on one rack (the permutation rack of (123), rack 5 of order 3)
 # and one non-rack table (rack 9): line 3 has a wrong d, line 4 a wrong
-# medial flag, line 6 a u that is no automorphism, and the bad table is on
-# lines 5, 9 and 10.
+# medial flag, line 6 a u that is no automorphism, line 7 is no record
+# line (a v1 checkpoint's watermark), and the bad table is on lines 5, 9
+# and 10.
 MIXED = """\
 # glracks structure records v1
 n=3 rack=5 s=2,3,1;2,3,1;2,3,1 u=1,2,3 d=3,1,2 quandle=0 medial=1 legendrian=0
@@ -127,6 +131,7 @@ MIXED_ERRORS = {
     4: "stored flags disagree with recomputation",
     5: _NOT_A_RACK,
     6: "u is not a rack automorphism: u s_x != s_u(x) u at x=0",
+    7: "bad token 'watermark' in record line",
     9: _NOT_A_RACK,
     10: _NOT_A_RACK,
 }
@@ -143,7 +148,7 @@ class TestOneCheckPerTable:
         with open(path, "w") as fh:
             fh.write(MIXED)
         scanned = list(scan_records(path))
-        assert [lineno for lineno, _ in scanned] == [2, 3, 4, 5, 6, 8, 9, 10]
+        assert [lineno for lineno, _ in scanned] == [2, 3, 4, 5, 6, 7, 8, 9, 10]
         errors = {
             lineno: str(found) for lineno, found in scanned if isinstance(found, ValueError)
         }
@@ -158,8 +163,12 @@ class TestOneCheckPerTable:
         # without the bad lines, the rest reads
         lines = MIXED.splitlines(keepends=True)
         with open(path, "w") as fh:
-            fh.writelines(lines[i - 1] for i in (1, 2, 7, 8))
+            fh.writelines(lines[i - 1] for i in (1, 2, 8))
         assert len(read_records(path)) == 2
+        with open(path, "w") as fh:
+            fh.writelines(lines[i - 1] for i in (1, 2, 7, 8))
+        with pytest.raises(RecordFormatError, match=r"mixed\.txt:3: bad token 'watermark'"):
+            read_records(path)
         with open(path, "w") as fh:
             fh.writelines(lines[i - 1] for i in (1, 2, 8, 10))
         with pytest.raises(RecordFormatError, match=r"mixed\.txt:4: self-distributivity"):

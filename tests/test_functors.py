@@ -6,10 +6,10 @@ from glracks.classify import classify_gl, gl_classes
 from glracks.functors import (
     functor_f,
     functor_g,
-    hom_transport_check,
     roundtrip_check,
 )
 from glracks.glrack import check_gl
+from glracks.morphisms import is_gl_hom, is_rack_hom
 from glracks.perm import Permutation, parse_cycles
 from glracks.racks import is_medial, is_quandle, permutation_rack, theta, trivial_quandle
 
@@ -74,4 +74,6 @@ class TestHomTransport:
         # a map is a rack hom exactly when it is a GL-hom between the images
         for source, target in itertools.product(racks_by_order[3], repeat=2):
             for phi in itertools.product(range(3), repeat=3):
-                assert hom_transport_check(source, target, phi)
+                assert is_rack_hom(source, target, phi) == is_gl_hom(
+                    functor_f(source), functor_f(target), phi
+                )

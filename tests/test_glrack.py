@@ -7,7 +7,6 @@ from glracks.glrack import (
     check_gl,
     down_map,
     flags,
-    is_gl_structure,
     is_legendrian,
 )
 from glracks.perm import Permutation, parse_cycles, symmetric_group
@@ -19,6 +18,8 @@ from glracks.racks import (
     theta,
     trivial_quandle,
 )
+
+from oracles import is_gl_structure
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import pickle
 import random
@@ -18,10 +19,7 @@ from glracks.morphisms import (
     find_iso,
     hom_glrack,
     hom_rack,
-    is_bihom,
-    is_gl_bihom,
     is_gl_hom,
-    is_isomorphic,
     is_rack_hom,
     _pointwise_rack,
 )
@@ -38,7 +36,7 @@ from glracks.racks import (
     trivial_quandle,
 )
 
-from oracles import centralizer, pointwise_tables
+from oracles import centralizer, is_bihom, is_gl_bihom, pointwise_tables
 
 
 def _relabel(rack, p):
@@ -115,7 +113,7 @@ class TestIsomorphism:
 
     def test_distinct_classes_never_isomorphic(self, racks_by_order):
         for a, b in itertools.combinations(racks_by_order[4], 2):
-            assert not is_isomorphic(a, b)
+            assert find_iso(a, b) is None
 
     def test_relabeling_is_isomorphic(self):
         rack = dihedral(4)
@@ -349,7 +347,7 @@ class TestAutGroups:
             assert aut_group(dihedral(m)).order == expected
 
     def test_aut_of_trivial_quandle_is_symmetric(self):
-        assert aut_group(trivial_quandle(4)).is_symmetric()
+        assert aut_group(trivial_quandle(4)).order == math.factorial(4)
 
     def test_aut_elements_are_automorphisms(self, racks_by_order):
         for rack in racks_by_order[4]:
