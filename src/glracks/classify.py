@@ -9,21 +9,21 @@ over quandles only (it backtracks over ``s_0, ..., s_{n-1}`` with
 ``s_{s_x(y)} = s_x s_y s_x^-1`` as soon as both sides are determined), and
 only over tables in a normal form that the lexicographically least table
 of every class has: identity rows first, then the row with the least
-cycle-type key.  The labeled quandles are deduplicated into isomorphism
-classes by removing relabeling orbits, built only from the relabelings
-that keep the normal form, and the relabelings that give each class's
-least table back are its automorphism group ``Aut Q``, with no automorphism
-search; and each quandle ``Q`` with each class of
-GL-structures ``u`` on it gives one rack class ``G(Q, u)``, brought to its
-lexicographically least relabeling by the least of the relabelings that put
-it in the same normal form.
+cycle-type key.  The search also tries each partial table against the
+relabelings that keep the normal form and cuts it as soon as one makes it
+smaller, so it emits just the least table of each quandle class, with no
+dedupe; the relabelings that give that table back are its automorphism
+group ``Aut Q``, with no automorphism search.  Each quandle ``Q`` with each
+class of GL-structures ``u`` on it gives one rack class ``G(Q, u)``,
+brought to its lexicographically least relabeling by the least of the
+relabelings that put it in the same normal form.
 
 The GL-structures on a rack ``R`` form ``U(R)``, the centralizer of the
 inner automorphism group inside ``Aut R``, and their isomorphism classes
 are the conjugacy orbits in ``U(R)`` under ``Aut R``.  How these are found
 depends on the path.  An enumerated rack ``R = G(Q, u)`` has
 ``F(R) = (Q, u)``, so every group it needs comes from its quandle class,
-whose ``Aut Q`` comes from the dedupe and whose ``U(Q) = C_{Aut Q}(Inn Q)``
+whose ``Aut Q`` comes from the search and whose ``U(Q) = C_{Aut Q}(Inn Q)``
 and medial flag are computed once per quandle: ``Aut R = C_{Aut Q}(u)``,
 for the least member ``u`` of each class, comes from
 :func:`perm.orbit_centralizers` (and skips repeated relabelings in the
@@ -35,9 +35,9 @@ A rack from an ingested library has no quandle stage: its group comes
 from :func:`morphisms.aut_group`, its ``U(R)`` from :func:`gl_structures`
 as the automorphisms that keep every row, and its classes from
 :func:`gl_classes`.  The brute-force oracles live in the tests: the
-labeled search with every row open (the rack-first oracle), the dedupe by
-sweeping all of ``S_n``, and the filter of all of ``S_n`` through the
-GL-structure definition.
+labeled search with every row open and no relabelings (the rack-first
+oracle), the dedupe by sweeping all of ``S_n``, and the filter of all of
+``S_n`` through the GL-structure definition.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
 results files hold, so records go to disk as they are; the records of a
@@ -57,7 +57,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Container, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterator, Optional, Sequence
 
 from . import formats
 from .glrack import GLFlags
@@ -221,55 +221,166 @@ def _normal_relabelings(
             yield p, pinv
 
 
-def _labeled_racks(n: int) -> list[bytes]:
-    """The quandle tables on {0..n-1} in normal form, each flattened to
-    n*n bytes; every quandle class has its lexicographically least table
-    among them.
+def _labeled_racks(n: int) -> list[tuple[bytes, SmallGroup]]:
+    """The lexicographically least quandle table on {0..n-1} of each
+    isomorphism class, flattened to n*n bytes, with its automorphism group
+    ``Aut Q``, sorted by table.
 
-    A table is in normal form when, with ``k`` its number of identity rows,
-    rows ``0..k-1`` are the identity, rows ``k..n-1`` are not, and row ``k``
-    is ``D``, the least block key (:func:`_block_form`) of the non-identity
-    rows.  The lex-least table of a class is in normal form: the identity is
-    the least row, so it comes first; every row keeps the identity set,
-    since ``s_{s_b(a)} = s_b s_a s_b^-1``; and the least row ``k`` over the
-    relabelings that keep that set is the least key.  So the search runs
-    once per ``k`` and ``D``: row ``x > k`` takes the non-identity rows that
-    fix ``x``, keep ``{0..k-1}`` and have key at least ``D`` (keys are
-    invariant under those relabelings, so forced rows obey this too).
+    The least table is in normal form: with ``k`` its number of identity
+    rows, rows ``0..k-1`` are the identity, rows ``k..n-1`` are not, and
+    row ``k`` is ``D``, the least block key (:func:`_block_form`) of the
+    non-identity rows.  The identity is the least row, so it comes first;
+    every row keeps the identity set, since ``s_{s_b(a)} = s_b s_a s_b^-1``;
+    and the least row ``k`` over the relabelings that keep that set is the
+    least key.  So the search runs once per ``k`` and ``D``: row ``x > k``
+    takes the non-identity rows that fix ``x``, keep ``{0..k-1}`` and have
+    key at least ``D`` (keys are invariant under those relabelings, so
+    forced rows obey this too).
 
-    Backtracking with forced-conjugate propagation: once ``s_a`` and ``s_b``
-    are known, ``s_{s_a(b)}`` must equal ``s_a s_b s_a^-1``.
+    The relabelings that keep a table of the branch in normal form are
+    ``c p_b`` (:func:`_normal_relabelings`), one for each row ``b`` whose
+    key is ``D`` and each ``c`` in ``_key_centralizer(k, D)``.  Each joins
+    the search once row ``b`` is set, and :func:`_search` cuts every partial
+    table that one of them makes smaller (orderly generation: Read, "Every
+    one a winner", 1978; McKay, "Isomorph-free exhaustive generation",
+    1998).  So every table it emits is the least of its class, and the
+    relabelings that give it back are ``Aut Q``.  The all-identity table is
+    not searched; its ``Aut Q`` is ``S_n``.  A table emitted twice raises
+    ``RuntimeError``.
     """
-    perms = list(itertools.permutations(range(n)))
-    identity = perms[0]
-    results = [bytes(identity) * n]
+    identity = tuple(range(n))
+    found: list[tuple[bytes, Optional[list[tuple[int, ...]]]]] = [
+        (bytes(identity) * n, None)
+    ]
     for k in range(n):
-        block = [p for p in perms[1:] if all(v < k for v in p[:k])]
-        keyed = {
-            x: [(_block_form(p, range(k), x)[0], p) for p in block if p[x] == x]
-            for x in range(k, n)
+        # the block key and relabeling of each non-identity row that fixes k
+        # and keeps {0..k-1}; row x > k gets those of its conjugate by (k x)
+        forms = {
+            row: _block_form(row, range(k), k)
+            for low in itertools.permutations(range(k))
+            for high in itertools.permutations(range(k + 1, n))
+            for row in [low + (k,) + high]
+            if row != identity
         }
-        for d in sorted({key for key, _p in keyed[k]}):
+        swaps = _transpositions(n, k)
+        keyed = [
+            [(key, _swapped(swaps[x], row)) for row, (key, _pb) in forms.items()]
+            for x in range(k + 1, n)
+        ]
+        for d in sorted({key for key, _pb in forms.values()}):
             rows: list[Optional[tuple[int, ...]]] = [identity] * k + [d]
             rows += [None] * (n - k - 1)
             candidates = [[]] * (k + 1) + [
-                [p for key, p in keyed[x] if key >= d] for x in range(k + 1, n)
+                [row for key, row in at_x if key >= d] for at_x in keyed
             ]
-            results.extend(_search(rows, candidates))
-    return results
+            relabelings = _branch_relabelings(k, d, forms, swaps)
+            found.extend(_search(rows, candidates, relabelings))
+    found.sort(key=itemgetter(0))
+    for (a, _), (b, _) in zip(found, found[1:]):
+        if a == b:
+            raise RuntimeError(f"the quandle search emitted a table twice: {list(a)}")
+    classes = []
+    for flat, autos in found:
+        if autos is None:
+            classes.append((flat, symmetric_group(n)))
+        else:
+            elements = tuple(map(Permutation.unchecked, autos))
+            classes.append((flat, SmallGroup(n, elements, elements)))
+    return classes
+
+
+def _transpositions(n: int, k: int) -> list[tuple[int, ...]]:
+    """The transposition ``(k x)`` of {0..n-1} for each ``x``, the identity
+    at ``x = k``."""
+    swaps = []
+    for x in range(n):
+        t = list(range(n))
+        t[k], t[x] = x, k
+        swaps.append(tuple(t))
+    return swaps
+
+
+def _swapped(t: tuple[int, ...], q: Sequence[int]) -> tuple[int, ...]:
+    """``t q t`` for an involution ``t``."""
+    return tuple(t[q[a]] for a in t)
+
+
+# a relabeling p as (p, p^-1, q -> q p^-1)
+Relabeling = tuple[
+    tuple[int, ...], tuple[int, ...], Callable[[tuple[int, ...]], tuple[int, ...]]
+]
+
+
+def _branch_relabelings(
+    k: int,
+    d: tuple[int, ...],
+    forms: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]],
+    swaps: list[tuple[int, ...]],
+) -> Callable[[int, tuple[int, ...]], list[Relabeling]]:
+    """For the search branch ``(k, d)``: the relabelings ``p = c p_b`` that
+    row ``b`` set to ``row`` brings, as ``(p, p^-1, q -> q p^-1)``, each list
+    made once.
+
+    ``forms`` holds the block key and relabeling of each row that fixes
+    ``k``, and ``swaps[b]`` is ``t = (k b)``: ``row`` at ``b`` has the key
+    of ``t row t`` at ``k``, and its relabeling ``p_b`` is that row's times
+    ``t``.  A row whose key is not ``d``, or an identity row ``b < k``,
+    brings none.
+    """
+    centralizer = _key_centralizer(k, d)
+    made: dict[tuple[int, tuple[int, ...]], list[Relabeling]] = {}
+
+    def relabelings(b: int, row: tuple[int, ...]) -> list[Relabeling]:
+        got = made.get((b, row))
+        if got is None:
+            got = made[b, row] = []
+            if b >= k:
+                t = swaps[b]
+                key, pb = forms[_swapped(t, row)]
+                if key == d:
+                    through_pb = itemgetter(*[pb[a] for a in t])  # c -> c p_b
+                    for c in centralizer:
+                        p = through_pb(c)
+                        pinv = [0] * len(p)
+                        for i, v in enumerate(p):
+                            pinv[v] = i
+                        got.append((p, tuple(pinv), itemgetter(*pinv)))
+        return got
+
+    return relabelings
+
+
+def _no_relabelings(b: int, row: tuple[int, ...]) -> list[Relabeling]:
+    return []
 
 
 def _search(
     rows: list[Optional[tuple[int, ...]]],
     candidates: list[list[tuple[int, ...]]],
-) -> list[bytes]:
+    relabelings: Callable[[int, tuple[int, ...]], list[Relabeling]] = _no_relabelings,
+) -> list[tuple[bytes, list[tuple[int, ...]]]]:
     """Every rack table that extends the preset ``rows`` (``None`` where
     open; the preset rows must satisfy the rack axioms among themselves)
-    with open row ``x`` drawn from ``candidates[x]`` or forced."""
+    with open row ``x`` drawn from ``candidates[x]`` or forced, and that no
+    relabeling makes smaller, each with the relabelings that give it back.
+
+    ``relabelings(b, row)`` gives the relabelings ``(p, p^-1, q -> q p^-1)``
+    that join once row ``b`` is set to ``row``; each must keep the preset
+    rows.  Relabeled by ``p``, a table has row ``p s_{p^-1(j)} p^-1`` at
+    ``j``; each joined ``p`` compares these with the table's rows in order,
+    from the first open row on, and goes on from where it stopped each time
+    a row is set.  A smaller row cuts the node and a larger one drops ``p``;
+    ``p`` waits at an open row, and gives the finished table back when every
+    row is equal.
+
+    Backtracking with forced-conjugate propagation: once ``s_a`` and ``s_b``
+    are known, ``s_{s_a(b)}`` must equal ``s_a s_b s_a^-1``.
+    """
     n = len(rows)
     assigned = [i for i in range(n) if rows[i] is not None]
-    results: list[bytes] = []
+    results: list[tuple[bytes, list[tuple[int, ...]]]] = []
     rng = range(n)
+    first_open = next((i for i in rng if rows[i] is None), n)
 
     def try_assign(x: int, p: tuple[int, ...], trail: list[int]) -> bool:
         stack = [(x, p)]
@@ -324,23 +435,56 @@ def _search(
                         return False
         return True
 
-    def search() -> None:
+    def compare(
+        live: list[tuple[Relabeling, int]]
+    ) -> Optional[list[tuple[Relabeling, int]]]:
+        """The live relabelings that wait at an open row or give the table
+        back, each with the row it stopped at; ``None`` when one gives a
+        smaller table."""
+        kept = []
+        for relabeling, j in live:
+            p, pinv, then_pinv = relabeling
+            while j < n:
+                row = rows[j]
+                source = rows[pinv[j]]
+                if row is None or source is None:
+                    kept.append((relabeling, j))
+                    break
+                image = itemgetter(*then_pinv(source))(p)  # p s p^-1
+                if image != row:
+                    if image < row:
+                        return None
+                    break
+                j += 1
+            else:
+                kept.append((relabeling, j))
+        return kept
+
+    def search(live: list[tuple[Relabeling, int]]) -> None:
         x = next((i for i in rng if rows[i] is None), None)
         if x is None:
             flat = bytearray()
             for row in rows:
                 flat.extend(row)  # type: ignore[arg-type]
-            results.append(bytes(flat))
+            results.append((bytes(flat), sorted(rel[0] for rel, _j in live)))
             return
         for p in candidates[x]:
             if not candidate_ok(x, p):
                 continue
             trail: list[int] = []
             if try_assign(x, p, trail):
-                search()
+                joined = [
+                    (rel, first_open) for i in trail for rel in relabelings(i, rows[i])
+                ]
+                kept = compare(live + joined if joined else live)
+                if kept is not None:
+                    search(kept)
             undo(trail)
 
-    search()
+    preset = [(rel, first_open) for i in assigned for rel in relabelings(i, rows[i])]
+    kept = compare(preset)
+    if kept is not None:
+        search(kept)
     return results
 
 
@@ -353,41 +497,6 @@ def _relabel(flat: bytes, n: int, p: Sequence[int], pinv: Sequence[int]) -> byte
         for j in range(n):
             out[off + j] = p[flat[base + pinv[j]]]
     return bytes(out)
-
-
-def _dedupe_by_orbits(labeled: list[bytes], n: int) -> list[tuple[bytes, SmallGroup]]:
-    """One lexicographically-least table per isomorphism class of the
-    normal-form quandle tables ``labeled`` (see :func:`_labeled_racks`), in
-    ascending order, each with its automorphism group ``Aut Q``.
-
-    The least table ``rep`` not yet met is relabeled only by the relabelings
-    that keep it in normal form (:func:`_normal_relabelings`), not by all of
-    ``S_n``: the tables they give are its class's tables in ``labeled``, and
-    a class that leaves ``labeled`` raises ``ValueError``.  Every
-    automorphism keeps the normal form, so ``Aut Q`` is the relabelings that
-    give ``rep`` back, sorted as :func:`aut_group` sorts it; but the
-    all-identity table's one relabeling is the identity, and its ``Aut Q``
-    is ``S_n``.
-    """
-    trivial = bytes(range(n)) * n
-    members = set(labeled)
-    met: set[bytes] = set()
-    classes = []
-    # the classes partition the members, so an orbit from the least table
-    # not yet met never meets an earlier class
-    for rep in sorted(members):
-        if rep in met:
-            continue
-        by_table: dict[bytes, list[tuple[int, ...]]] = {}
-        for p, pinv in _normal_relabelings(rep, n):
-            by_table.setdefault(_relabel(rep, n, p, pinv), []).append(p)
-        if not by_table.keys() <= members:
-            raise ValueError(f"relabeling orbit of {rep} leaves the member set")
-        met.update(by_table)
-        autos = tuple(Permutation.unchecked(p) for p in sorted(by_table[rep]))
-        aut = SmallGroup(n, autos, autos) if rep != trivial else symmetric_group(n)
-        classes.append((rep, aut))
-    return classes
 
 
 def _canonical(
@@ -426,8 +535,8 @@ def _enumerate(
 
     ``R = G(Q, u)`` has ``F(R) = (Q, u)`` and ``theta_R = u``, so every
     group that ``R`` needs comes from its quandle class ``Q``, whose
-    ``Aut Q`` the dedupe returns (:func:`_dedupe_by_orbits`; no
-    :func:`aut_group` runs here) and whose ``U(Q) = C_{Aut Q}(Inn Q)`` and
+    ``Aut Q`` the search returns with its least table (:func:`_labeled_racks`;
+    no :func:`aut_group` runs here) and whose ``U(Q) = C_{Aut Q}(Inn Q)`` and
     medial flag are computed once: the classes ``u`` are the ``Aut Q``-orbits
     on ``U(Q)``, each with ``Aut R = C_{Aut Q}(u)`` (:func:`orbit_centralizers`),
     which :func:`_canonical` uses; ``U(R) = C_{U(Q)}(u)`` is ``U(Q) & Aut R``;
@@ -439,7 +548,7 @@ def _enumerate(
     """
     check_order(n, long_run)
     found = []
-    for flat, aut_q in _dedupe_by_orbits(_labeled_racks(n), n):
+    for flat, aut_q in _labeled_racks(n):
         quandle = _unflatten(flat, n)
         structures = gl_structures(quandle, aut_q)
         medial = is_medial(quandle)
@@ -473,15 +582,15 @@ def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:
     Each rack is the lexicographically least table in its isomorphism
     class, and the list is sorted by table.  It is built quandle-first: the
     quandle classes ``Q`` of order ``n`` come from a labeled search over the
-    normal-form quandle tables, which hold the lex-least table of every
-    class (:func:`_labeled_racks`), and an orbit dedupe over the
-    relabelings that keep the normal form (:func:`_dedupe_by_orbits`); then
-    every class of GL-structures ``u`` on ``Q`` gives the rack ``G(Q, u)``
-    with rows ``u s_x``, brought to canonical form with the help of
-    ``Aut G(Q, u) = C_{Aut Q}(u)`` (see :func:`_enumerate`).  ``F`` and
-    ``G`` are inverse bijections between rack classes and GL-quandle
-    classes, so these racks are exhaustive and pairwise non-isomorphic; two
-    equal canonical forms would contradict that and raise ``RuntimeError``.
+    normal-form quandle tables that cuts every table some relabeling makes
+    smaller, and so gives just the lex-least table of each class, with its
+    ``Aut Q`` (:func:`_labeled_racks`); then every class of GL-structures
+    ``u`` on ``Q`` gives the rack ``G(Q, u)`` with rows ``u s_x``, brought
+    to canonical form with the help of ``Aut G(Q, u) = C_{Aut Q}(u)`` (see
+    :func:`_enumerate`).  ``F`` and ``G`` are inverse bijections between
+    rack classes and GL-quandle classes, so these racks are exhaustive and
+    pairwise non-isomorphic; two equal canonical forms would contradict that
+    and raise ``RuntimeError``.
 
     Orders above 6 must be requested with ``long_run=True``; 8 is the
     supported maximum.

@@ -110,15 +110,22 @@ def cmd_classify(args) -> int:
         return _fail(f"--jobs must be at least 1, not {args.jobs}", EXIT_INVALID)
     if args.jobs > 1 and args.source == "enumerate":
         return _fail("--jobs applies only to --source libraries", EXIT_INVALID)
+    if args.orientation != "auto" and args.source == "enumerate":
+        return _fail("--orientation applies only to --source libraries", EXIT_INVALID)
     _check_out(args.out)
     _check_out(args.checkpoint)
     racks = None
     if args.source != "enumerate":
         try:
-            racks = formats.ingest_rack_library(args.source)
+            racks = formats.ingest_rack_library(args.source, args.orientation)
         except (OSError, formats.BracketParseError) as exc:
             return _fail(str(exc), EXIT_IO)
-        except (RackError, formats.AmbiguousOrientationError) as exc:
+        except formats.AmbiguousOrientationError:
+            return _fail(
+                "both orientations validate; pass --orientation rows or cols",
+                EXIT_INVALID,
+            )
+        except RackError as exc:
             return _fail(str(exc), EXIT_INVALID)
         if any(r.n != args.n for r in racks):
             return _fail("library racks do not all have the requested order", EXIT_INVALID)
@@ -270,6 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quandles", action="store_true", help="keep only GL-quandles")
     p.add_argument("--medial", action="store_true", help="keep only medial GL-racks")
     p.add_argument("--jobs", type=int, default=1, help="processes for a --source library")
+    p.add_argument(
+        "--orientation",
+        choices=["auto", "rows", "cols"],
+        default="auto",
+        help="read a --source entry T[x][y] as s_x(y) (rows) or s_y(x) (cols); "
+        "auto takes the one that validates",
+    )
     p.add_argument("--long-run", action="store_true")
     p.add_argument("--checkpoint", default=None, help="append-only checkpoint file")
     p.add_argument("--out", default=None)

@@ -482,9 +482,14 @@ def format_record_table(record: StructureRecord) -> str:
 def checkpoint_header(racks: Sequence[Rack]) -> str:
     """The first line of a checkpoint for ``racks``: their order and count
     and a sha256 of their tables, in list order."""
+    return _checkpoint_header(racks, [_format_table(r.tables()) for r in racks])
+
+
+def _checkpoint_header(racks: Sequence[Rack], tables: Sequence[str]) -> str:
+    """:func:`checkpoint_header` from the formatted table of each rack."""
     digest = hashlib.sha256()
-    for rack in racks:
-        digest.update(f"s={_format_table(rack.tables())}\n".encode())
+    for table in tables:
+        digest.update(f"s={table}\n".encode())
     n = racks[0].n if racks else 0
     return (
         f"# glracks checkpoint v2 n={n} racks={len(racks)} "
@@ -538,7 +543,8 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
         lines = data[:kept].decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-    header = checkpoint_header(racks)
+    tables = [_format_table(rack.tables()) for rack in racks]
+    header = _checkpoint_header(racks, tables)
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         try:
@@ -558,7 +564,7 @@ def read_checkpoint(path: str, racks: Sequence[Rack]):
             if index in done:
                 raise RecordFormatError(f"second line for rack {index}")
             rack = racks[index]
-            if fields[2] != _format_table(rack.tables()):
+            if fields[2] != tables[index]:
                 raise RecordFormatError(f"s is not the table of rack {index}")
             us = [_parse_images(text, rack.n, "u") for text in fields[3].split(";")]
             rising = all(a < b for a, b in zip(us, us[1:]))

@@ -52,7 +52,7 @@ def rack_first(n):
     """Every rack table on {0..n-1}, by the labeled search with every row
     open to every permutation."""
     perms = list(itertools.permutations(range(n)))
-    return tuple(classify._search([None] * n, [perms] * n))
+    return tuple(flat for flat, _autos in classify._search([None] * n, [perms] * n))
 
 
 def is_gl_structure(rack, u):

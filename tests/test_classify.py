@@ -79,38 +79,35 @@ class TestQuandleFirst:
                 f for f in rack_first(n) if all(f[x * n + x] == x for x in range(n))
             }
             oracle = sweep_dedupe(quandles, n)
-            labeled = classify._labeled_racks(n)
-            assert len(set(labeled)) == len(labeled)
-            assert set(labeled) <= quandles
-            assert set(oracle) <= set(labeled)
-            classes = classify._dedupe_by_orbits(labeled, n)
-            assert [flat for flat, _aut in classes] == oracle
+            labeled = [flat for flat, _aut in classify._labeled_racks(n)]
+            assert labeled == oracle
 
     def test_labeled_quandle_counts(self):
+        # one labeled table per quandle class: the r_q column
         counts = [len(classify._labeled_racks(n)) for n in range(7)]
-        assert counts == [1, 1, 1, 3, 7, 30, 194]
+        assert counts == [1, 1, 1, 3, 7, 22, 73]
 
     def test_quandle_classes_order_7(self):
-        classes = classify._dedupe_by_orbits(classify._labeled_racks(7), 7)
+        classes = classify._labeled_racks(7)
         assert len(classes) == EXPECTED_COUNTS[7][6]  # r_q
 
-    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("n", [*range(8), pytest.param(8, marks=long_run_only)])
     def test_dedupe_carries_aut_group(self, n):
-        # the stabilizer of each class's relabeling orbit is its whole
-        # automorphism group; for the trivial quandle that is S_n
-        classes = classify._dedupe_by_orbits(classify._labeled_racks(n), n)
+        # one table per class, and the relabelings that give it back are its
+        # whole automorphism group; for the trivial quandle that is S_n
+        classes = classify._labeled_racks(n)
+        assert len(classes) == EXPECTED_COUNTS[n][6]  # r_q
         for flat, aut in classes:
             quandle = classify._unflatten(flat, n)
             assert aut.elements == aut_group(quandle).elements
         assert classes[0][1].order == math.factorial(n)
 
-    def test_dedupe_raises_on_an_orbit_that_leaves_its_input(self):
-        # a class with a normal-form table missing is not an orbit
-        labeled = classify._labeled_racks(5)
-        flats = [flat for flat, _aut in classify._dedupe_by_orbits(labeled, 5)]
-        missing = min(set(labeled) - set(flats))
-        with pytest.raises(ValueError, match="leaves the member set"):
-            classify._dedupe_by_orbits([f for f in labeled if f != missing], 5)
+    def test_search_raises_on_a_table_emitted_twice(self, monkeypatch):
+        # every branch emitting its tables twice
+        real = classify._search
+        monkeypatch.setattr(classify, "_search", lambda *args: real(*args) * 2)
+        with pytest.raises(RuntimeError, match="emitted a table twice"):
+            classify._labeled_racks(4)
 
     def test_block_key_is_least_conjugate(self):
         # every identity set up to degree 4, the prefixes {0..k-1} at degree
@@ -234,7 +231,7 @@ class TestCarriedAutomorphisms:
         # Aut G(Q, u) = C_{Aut Q}(u), U(G(Q, u)) = C_{U(Q)}(u), and
         # G(Q, u) is medial exactly when Q is
         for n in range(6):
-            for flat, _aut in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
+            for flat, _aut in classify._labeled_racks(n):
                 quandle = classify._unflatten(flat, n)
                 aut_q = aut_group(quandle)
                 u_q = gl_structures(quandle, aut_q)
@@ -250,7 +247,7 @@ class TestCarriedAutomorphisms:
                     assert is_medial(rack) == medial
 
     def test_enumerate_path_never_runs_aut_group(self, monkeypatch):
-        # every group comes from the dedupe's Aut Q; a library rack has no
+        # every group comes from the search's Aut Q; a library rack has no
         # quandle stage and still runs aut_group once
         expected = {n: classify_gl(n) for n in range(7)}
         real = classify.aut_group
@@ -359,7 +356,7 @@ class TestClassification:
         # its transvections are those of Q conjugated by u.
         identity = Permutation.identity(n)
         counts = [0] * 8
-        for flat, _aut in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
+        for flat, _aut in classify._labeled_racks(n):
             quandle = classify._unflatten(flat, n)
             aut = aut_group(quandle)
             structures = gl_structures(quandle, aut)

@@ -465,6 +465,33 @@ class TestClassify:
             == "bbf6a65ee3b76e3ca5a9ddacdd75f39645a0bf231398b1bc5adebf2c0272becf"
         )
 
+    @pytest.mark.parametrize(
+        "orientation, code",
+        [((), 1), (("--orientation", "auto"), 1), (("--orientation", "rows"), 0)],
+        ids=["default", "auto", "rows"],
+    )
+    def test_source_orientation(self, capsys, tmp_path, orientation, code):
+        # every table of this library is a rack both ways, and the two
+        # readings differ
+        lib = str(tmp_path / "lib.txt")
+        with open(lib, "w") as fh:
+            fh.write("[[[1,3,4,2],[4,2,1,3],[2,4,3,1],[3,1,2,4]]]")
+        argv = ("classify", "-n", "4", "--source", lib, *orientation)
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "--orientation" in err
+        else:
+            assert out.endswith("n=4 records=1\n")
+            assert "s=1,3,4,2;4,2,1,3;2,4,3,1;3,1,2,4 " in out
+
+    def test_orientation_without_source_exits_1(self, capsys):
+        code, out, err = run(capsys, "classify", "-n", "3", "--orientation", "rows")
+        assert (code, out) == (1, "")
+        assert err == "error: --orientation applies only to --source libraries\n"
+
     def test_source_order_mismatch(self, capsys, tmp_path):
         lib = str(tmp_path / "lib.txt")
         rack = dihedral(3)

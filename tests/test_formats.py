@@ -463,6 +463,24 @@ class TestCheckpoints:
         with pytest.raises(RecordFormatError, match=":2: u "):
             read_checkpoint(path, racks)
 
+    def test_a_read_formats_each_table_once(self, tmp_path, monkeypatch):
+        from glracks import formats
+
+        racks = enumerate_racks(4)
+        path = str(tmp_path / "ckpt.txt")
+        classify_gl(4, racks, checkpoint_path=path)
+        real = formats._format_table
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(formats, "_format_table", counting)
+        done, _records = read_checkpoint(path, racks)
+        assert done == set(range(len(racks)))
+        assert len(calls) == len(racks)
+
     def test_missing_checkpoint_is_fresh_start(self, tmp_path):
         done, records = read_checkpoint(str(tmp_path / "nope.txt"), [])
         assert done == set() and records == []

@@ -172,7 +172,7 @@ class TestGroups:
         # enumeration takes them
         symmetric = symmetric_group(n)
         cases = [([g.images for g in symmetric.elements], symmetric)]
-        for flat, aut in classify._dedupe_by_orbits(classify._labeled_racks(n), n):
+        for flat, aut in classify._labeled_racks(n):
             structures = classify.gl_structures(classify._unflatten(flat, n), aut)
             cases.append(([u.images for u in structures.elements], aut))
         for members, group in cases:
