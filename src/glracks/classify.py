@@ -3,50 +3,45 @@
 Racks are enumerated quandle-first, through the paper's isomorphism
 between racks and GL-quandles: the twist ``F(R) = (theta^-1 s, theta)`` is
 a GL-quandle, the untwist ``G(Q, u)`` with rows ``u s_x`` is a rack, and the
-two are mutually inverse on isomorphism classes.  So a labeled search runs
-over quandles only (it backtracks over ``s_0, ..., s_{n-1}`` with
-``s_x(x) = x``, propagating the forced identity
-``s_{s_x(y)} = s_x s_y s_x^-1`` as soon as both sides are determined), and
+two are mutually inverse on isomorphism classes.  A table is the tuple of
+its rows ``s_x``.  A labeled search backtracks over quandle tables
+(``s_x(x) = x``), propagating the forced identity
+``s_{s_x(y)} = s_x s_y s_x^-1`` as soon as both sides are determined, and
 only over tables in a normal form that the lexicographically least table
 of every class has: identity rows first, then the row with the least
-cycle-type key.  The search also tries each partial table against the
-relabelings that keep the normal form and cuts it as soon as one makes it
-smaller, so it emits just the least table of each quandle class, with no
-dedupe; the relabelings that give that table back are its automorphism
-group ``Aut Q``, with no automorphism search.  Each quandle ``Q`` with each
-class of GL-structures ``u`` on it gives one rack class ``G(Q, u)``,
-brought to its lexicographically least relabeling by the least of the
-relabelings that put it in the same normal form.
+cycle-type key.  Relabeled by ``p``, a table has row ``p s_x p^-1`` at
+``p(x)`` (:func:`_moved`), and one comparator (:func:`_first_difference`)
+walks those rows against a reference table up to the first that differs.
+The search compares each partial table with the relabelings that keep the
+normal form and cuts it when one is smaller, so it emits just the least
+table of each quandle class, and the relabelings that give it back are its
+``Aut Q``.  Each quandle ``Q`` with each class of GL-structures ``u`` on it
+gives one rack class ``G(Q, u)``, whose lexicographically least table
+comes from the same comparator run over its normal-form relabelings
+against the least table so far.
 
 The GL-structures on a rack ``R`` form ``U(R)``, the centralizer of the
 inner automorphism group inside ``Aut R``, and their isomorphism classes
-are the conjugacy orbits in ``U(R)`` under ``Aut R``.  How these are found
-depends on the path.  An enumerated rack ``R = G(Q, u)`` has
-``F(R) = (Q, u)``, so every group it needs comes from its quandle class,
-whose ``Aut Q`` comes from the search and whose ``U(Q) = C_{Aut Q}(Inn Q)``
-and medial flag are computed once per quandle: ``Aut R = C_{Aut Q}(u)``,
-for the least member ``u`` of each class, comes from
-:func:`perm.orbit_centralizers` (and skips repeated relabelings in the
-canonical form), ``U(R) = C_{U(Q)}(u)``, and ``R`` is medial exactly when
-``Q`` is.  Every conjugation orbit, the classes ``u`` on ``Q`` and the
-GL-classes on ``R``, comes from :func:`perm.conjugation_orbits`, a
-breadth-first search over a small generating set of the acting group.
-A rack from an ingested library has no quandle stage: its group comes
-from :func:`morphisms.aut_group`, its ``U(R)`` from :func:`gl_structures`
-as the automorphisms that keep every row, and its classes from
-:func:`gl_classes`.  The brute-force oracles live in the tests: the
-labeled search with every row open and no relabelings (the rack-first
-oracle), the dedupe by sweeping all of ``S_n``, and the filter of all of
-``S_n`` through the GL-structure definition.
+are the conjugacy orbits in ``U(R)`` under ``Aut R``.  An enumerated rack
+``R = G(Q, u)`` has ``F(R) = (Q, u)``, so every group it needs comes from
+its quandle class, whose ``U(Q) = C_{Aut Q}(Inn Q)`` and medial flag are
+computed once per quandle: ``Aut R = C_{Aut Q}(u)``, for the least member
+``u`` of each class, comes from :func:`perm.orbit_centralizers` (and skips
+repeated relabelings in the canonical form), ``U(R) = C_{U(Q)}(u)``, and
+``R`` is medial exactly when ``Q`` is.  Every conjugation orbit comes from
+:func:`perm.conjugation_orbits`, a breadth-first search over a small
+generating set of the acting group.  A rack from an ingested library has
+no quandle stage: its group comes from :func:`morphisms.aut_group`, its
+``U(R)`` from :func:`gl_structures` and its classes from
+:func:`gl_classes`.  The brute-force and orderly oracles live in the tests.
 
 Each GL-rack class is one :class:`formats.StructureRecord`, the type that
-results files hold, so records go to disk as they are; the records of a
-rack come from :func:`formats.gl_records`, which checks each class and
-derives its down map and Legendrian flag (and, for a library rack, its
-medial flag); a checkpoint stores each finished rack's ``u`` list, and
-a resume rebuilds its records through the same builder.  A rack that
-runs out of memory is reported as a diagnostic, and the result is then
-not exhaustive.
+results files hold; the records of a rack come from
+:func:`formats.gl_records`, which checks each class and derives its down
+map and flags; a checkpoint stores each finished rack's ``u`` list, and a
+resume rebuilds its records through the same builder.  A rack that runs
+out of memory is reported as a diagnostic, and the result is then not
+exhaustive.
 """
 
 from __future__ import annotations
@@ -165,21 +160,59 @@ def _key_centralizer(k: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def _normal_relabelings(
-    flat: bytes, n: int, autos: Sequence[Sequence[int]] = ()
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Each relabeling ``p`` (old -> new label) that takes the flattened rack
-    ``flat`` to a table whose rows ``0..k-1`` are the identity and whose row
-    ``k`` is ``D``, with its inverse; just the identity when every row is.
+Row = tuple[int, ...]  # an image array
+Table = tuple[Row, ...]  # the rows s_0, ..., s_{n-1}
+# a relabeling p (old -> new label) as (p, p^-1, q -> q p^-1)
+Relabeling = tuple[Row, Row, Callable[[Row], Row]]
 
-    ``k`` is the number of identity rows, and ``D`` the least block key
-    (:func:`_block_form`) of the other rows.  Every row keeps the set ``I``
-    of identity points, since ``s_{s_x(a)} = s_x s_a s_x^-1``, so these are
-    exactly ``p = c p_b``: ``b`` is a row outside ``I`` whose key is ``D``,
-    ``p_b`` the relabeling that turns ``s_b`` into ``D``, and ``c`` keeps
-    ``{0..k-1}``, fixes ``k`` and commutes with ``D``.  The identity is the
-    least row, so the lexicographically least relabeling of ``flat`` is
-    one of these.
+
+def _relabeling(p: Row) -> Relabeling:
+    """The relabeling ``p`` as ``(p, p^-1, q -> q p^-1)``."""
+    inverse = [0] * len(p)
+    for i, v in enumerate(p):
+        inverse[v] = i
+    pinv = tuple(inverse)
+    return p, pinv, _row_getter(pinv)
+
+
+def _moved(relabeling: Relabeling, s: Row) -> Row:
+    """``p s p^-1``: the row that ``s_x`` gives at ``p(x)`` in the table
+    relabeled by ``p``.  A permutation of at most one point is its own."""
+    p, _pinv, then_pinv = relabeling
+    return itemgetter(*then_pinv(s))(p) if len(p) > 1 else s
+
+
+def _key_relabelings(
+    k: int, d: Row, pb: Sequence[int], stabilizer: Sequence[Callable[[Row], Row]] = ()
+) -> Iterator[Relabeling]:
+    """The relabelings ``p = c p_b``, for ``c`` in ``_key_centralizer(k, d)``
+    and ``p_b`` the image array ``pb``.  ``stabilizer`` holds getters
+    ``q -> q a`` for automorphisms ``a`` of the table that fix ``b``: ``p a``
+    gives the table that ``p`` does, so a ``p`` met as such a product is
+    skipped, and only the relabelings yielded are inverted."""
+    through_pb = itemgetter(*pb)  # c -> c p_b; n >= 2 here
+    seen: set[Row] = set()
+    for c in _key_centralizer(k, d):
+        p = through_pb(c)
+        if p not in seen:
+            for then_a in stabilizer:
+                seen.add(then_a(p))  # p a
+            yield _relabeling(p)
+
+
+def _normal_relabelings(
+    rows: Table, autos: Sequence[Sequence[int]] = ()
+) -> Iterator[Relabeling]:
+    """Each relabeling ``p`` (old -> new label) that takes the rack table
+    ``rows`` to a table whose rows ``0..k-1`` are the identity and whose row
+    ``k`` is ``D``, the least block key (:func:`_block_form`) of the
+    non-identity rows; just the identity when every row is.
+
+    Every row keeps the set ``I`` of identity points, since
+    ``s_{s_x(a)} = s_x s_a s_x^-1``, so these are exactly ``p = c p_b``
+    (:func:`_key_relabelings`): ``b`` is a row outside ``I`` whose key is
+    ``D``, and ``p_b`` turns ``s_b`` into ``D``.  The identity is the least
+    row, so the least relabeling of ``rows`` is one of these.
 
     ``autos`` (image arrays of automorphisms of the rack, any subset of
     ``Aut R``) are skipped over: ``p a`` gives the same table as ``p``.
@@ -189,11 +222,11 @@ def _normal_relabelings(
     again.  With all of ``Aut R`` that is one relabeling per coset
     ``p Aut R``, i.e. one per distinct table.
     """
-    identity = bytes(range(n))
-    rows = [flat[x * n : (x + 1) * n] for x in range(n)]
+    n = len(rows)
+    identity = tuple(range(n))
     ids = {x for x in range(n) if rows[x] == identity}
     if len(ids) == n:
-        yield tuple(identity), list(identity)
+        yield _relabeling(identity)
         return
     # keys are invariant under automorphisms, so one row per orbit suffices
     reps = []
@@ -205,26 +238,15 @@ def _normal_relabelings(
     keyed = [(b, *_block_form(rows[b], ids, b)) for b in reps]
     d = min(key for _b, key, _p in keyed)
     for b, key, pb in keyed:
-        if key != d:
-            continue
-        through_pb = itemgetter(*pb)  # c -> c p_b; n >= 2 here
-        stabilizer = [itemgetter(*a) for a in autos if a[b] == b]
-        seen: set[tuple[int, ...]] = set()
-        for c in _key_centralizer(len(ids), d):
-            p = through_pb(c)
-            if p in seen:
-                continue
-            seen.update(then_p(p) for then_p in stabilizer)  # p a
-            pinv = [0] * n
-            for i, v in enumerate(p):
-                pinv[v] = i
-            yield p, pinv
+        if key == d:
+            stabilizer = [itemgetter(*a) for a in autos if a[b] == b]
+            yield from _key_relabelings(len(ids), d, pb, stabilizer)
 
 
-def _labeled_racks(n: int) -> list[tuple[bytes, SmallGroup]]:
+def _labeled_racks(n: int) -> list[tuple[Table, SmallGroup]]:
     """The lexicographically least quandle table on {0..n-1} of each
-    isomorphism class, flattened to n*n bytes, with its automorphism group
-    ``Aut Q``, sorted by table.
+    isomorphism class, with its automorphism group ``Aut Q``, sorted by
+    table.
 
     The least table is in normal form: with ``k`` its number of identity
     rows, rows ``0..k-1`` are the identity, rows ``k..n-1`` are not, and
@@ -238,20 +260,17 @@ def _labeled_racks(n: int) -> list[tuple[bytes, SmallGroup]]:
     forced rows obey this too).
 
     The relabelings that keep a table of the branch in normal form are
-    ``c p_b`` (:func:`_normal_relabelings`), one for each row ``b`` whose
-    key is ``D`` and each ``c`` in ``_key_centralizer(k, D)``.  Each joins
-    the search once row ``b`` is set, and :func:`_search` cuts every partial
-    table that one of them makes smaller (orderly generation: Read, "Every
-    one a winner", 1978; McKay, "Isomorph-free exhaustive generation",
-    1998).  So every table it emits is the least of its class, and the
-    relabelings that give it back are ``Aut Q``.  The all-identity table is
-    not searched; its ``Aut Q`` is ``S_n``.  A table emitted twice raises
-    ``RuntimeError``.
+    ``c p_b`` (:func:`_key_relabelings`) for each row ``b`` whose key is
+    ``D``.  Each joins the search once row ``b`` is set, and :func:`_search`
+    cuts every partial table that one of them makes smaller (orderly
+    generation: Read, "Every one a winner", 1978; McKay, "Isomorph-free
+    exhaustive generation", 1998).  So every table it emits is the least of
+    its class, and the relabelings that give it back are ``Aut Q``.  The
+    all-identity table is not searched; its ``Aut Q`` is ``S_n``.  A table
+    emitted twice raises ``RuntimeError``.
     """
     identity = tuple(range(n))
-    found: list[tuple[bytes, Optional[list[tuple[int, ...]]]]] = [
-        (bytes(identity) * n, None)
-    ]
+    found: list[tuple[Table, Optional[list[Row]]]] = [((identity,) * n, None)]
     for k in range(n):
         # the block key and relabeling of each non-identity row that fixes k
         # and keeps {0..k-1}; row x > k gets those of its conjugate by (k x)
@@ -268,8 +287,7 @@ def _labeled_racks(n: int) -> list[tuple[bytes, SmallGroup]]:
             for x in range(k + 1, n)
         ]
         for d in sorted({key for key, _pb in forms.values()}):
-            rows: list[Optional[tuple[int, ...]]] = [identity] * k + [d]
-            rows += [None] * (n - k - 1)
+            rows: list[Optional[Row]] = [identity] * k + [d] + [None] * (n - k - 1)
             candidates = [[]] * (k + 1) + [
                 [row for key, row in at_x if key >= d] for at_x in keyed
             ]
@@ -280,12 +298,12 @@ def _labeled_racks(n: int) -> list[tuple[bytes, SmallGroup]]:
         if a == b:
             raise RuntimeError(f"the quandle search emitted a table twice: {list(a)}")
     classes = []
-    for flat, autos in found:
+    for table, autos in found:
         if autos is None:
-            classes.append((flat, symmetric_group(n)))
+            classes.append((table, symmetric_group(n)))
         else:
             elements = tuple(map(Permutation.unchecked, autos))
-            classes.append((flat, SmallGroup(n, elements, elements)))
+            classes.append((table, SmallGroup(n, elements, elements)))
     return classes
 
 
@@ -305,32 +323,20 @@ def _swapped(t: tuple[int, ...], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(t[q[a]] for a in t)
 
 
-# a relabeling p as (p, p^-1, q -> q p^-1)
-Relabeling = tuple[
-    tuple[int, ...], tuple[int, ...], Callable[[tuple[int, ...]], tuple[int, ...]]
-]
-
-
 def _branch_relabelings(
-    k: int,
-    d: tuple[int, ...],
-    forms: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]],
-    swaps: list[tuple[int, ...]],
-) -> Callable[[int, tuple[int, ...]], list[Relabeling]]:
+    k: int, d: Row, forms: dict[Row, tuple[Row, list[int]]], swaps: list[Row]
+) -> Callable[[int, Row], list[Relabeling]]:
     """For the search branch ``(k, d)``: the relabelings ``p = c p_b`` that
-    row ``b`` set to ``row`` brings, as ``(p, p^-1, q -> q p^-1)``, each list
-    made once.
-
-    ``forms`` holds the block key and relabeling of each row that fixes
-    ``k``, and ``swaps[b]`` is ``t = (k b)``: ``row`` at ``b`` has the key
-    of ``t row t`` at ``k``, and its relabeling ``p_b`` is that row's times
-    ``t``.  A row whose key is not ``d``, or an identity row ``b < k``,
-    brings none.
+    row ``b`` set to ``row`` brings (:func:`_key_relabelings`), each list
+    made once.  ``forms`` holds the block key and relabeling of each row
+    that fixes ``k``, and ``swaps[b]`` is ``t = (k b)``: ``row`` at ``b``
+    has the key of ``t row t`` at ``k``, and its relabeling ``p_b`` is that
+    row's times ``t``.  A row whose key is not ``d``, or an identity row
+    ``b < k``, brings none.
     """
-    centralizer = _key_centralizer(k, d)
-    made: dict[tuple[int, tuple[int, ...]], list[Relabeling]] = {}
+    made: dict[tuple[int, Row], list[Relabeling]] = {}
 
-    def relabelings(b: int, row: tuple[int, ...]) -> list[Relabeling]:
+    def relabelings(b: int, row: Row) -> list[Relabeling]:
         got = made.get((b, row))
         if got is None:
             got = made[b, row] = []
@@ -338,27 +344,42 @@ def _branch_relabelings(
                 t = swaps[b]
                 key, pb = forms[_swapped(t, row)]
                 if key == d:
-                    through_pb = itemgetter(*[pb[a] for a in t])  # c -> c p_b
-                    for c in centralizer:
-                        p = through_pb(c)
-                        pinv = [0] * len(p)
-                        for i, v in enumerate(p):
-                            pinv[v] = i
-                        got.append((p, tuple(pinv), itemgetter(*pinv)))
+                    got += _key_relabelings(k, d, [pb[a] for a in t])
         return got
 
     return relabelings
 
 
-def _no_relabelings(b: int, row: tuple[int, ...]) -> list[Relabeling]:
-    return []
+def _first_difference(
+    rows: Sequence[Optional[Row]],
+    reference: Sequence[Optional[Row]],
+    relabeling: Relabeling,
+    j: int,
+) -> tuple[int, Optional[Row]]:
+    """The first row ``i >= j`` at which ``rows`` relabeled by ``p`` (row
+    ``p s_{p^-1(i)} p^-1`` at ``i``, :func:`_moved`) differs from
+    ``reference`` or either is open (``None``), with the relabeled row there
+    (``None`` when open); ``(n, None)`` when all rows from ``j`` on agree.
+    Only the rows compared are built."""
+    pinv = relabeling[1]
+    n = len(reference)
+    while j < n:
+        want = reference[j]
+        source = rows[pinv[j]]
+        if want is None or source is None:
+            return j, None
+        image = _moved(relabeling, source)
+        if image != want:
+            return j, image
+        j += 1
+    return n, None
 
 
 def _search(
-    rows: list[Optional[tuple[int, ...]]],
-    candidates: list[list[tuple[int, ...]]],
-    relabelings: Callable[[int, tuple[int, ...]], list[Relabeling]] = _no_relabelings,
-) -> list[tuple[bytes, list[tuple[int, ...]]]]:
+    rows: list[Optional[Row]],
+    candidates: list[list[Row]],
+    relabelings: Callable[[int, Row], list[Relabeling]],
+) -> list[tuple[Table, list[Row]]]:
     """Every rack table that extends the preset ``rows`` (``None`` where
     open; the preset rows must satisfy the rack axioms among themselves)
     with open row ``x`` drawn from ``candidates[x]`` or forced, and that no
@@ -366,19 +387,18 @@ def _search(
 
     ``relabelings(b, row)`` gives the relabelings ``(p, p^-1, q -> q p^-1)``
     that join once row ``b`` is set to ``row``; each must keep the preset
-    rows.  Relabeled by ``p``, a table has row ``p s_{p^-1(j)} p^-1`` at
-    ``j``; each joined ``p`` compares these with the table's rows in order,
-    from the first open row on, and goes on from where it stopped each time
-    a row is set.  A smaller row cuts the node and a larger one drops ``p``;
-    ``p`` waits at an open row, and gives the finished table back when every
-    row is equal.
+    rows.  Each joined ``p`` compares the relabeled table with the table
+    itself (:func:`_first_difference`), from the first open row on, and
+    goes on from where it stopped each time a row is set.  A smaller row
+    cuts the node and a larger one drops ``p``; ``p`` waits at an open row,
+    and gives the finished table back when every row is equal.
 
     Backtracking with forced-conjugate propagation: once ``s_a`` and ``s_b``
     are known, ``s_{s_a(b)}`` must equal ``s_a s_b s_a^-1``.
     """
     n = len(rows)
     assigned = [i for i in range(n) if rows[i] is not None]
-    results: list[tuple[bytes, list[tuple[int, ...]]]] = []
+    results: list[tuple[Table, list[Row]]] = []
     rng = range(n)
     first_open = next((i for i in rng if rows[i] is None), n)
 
@@ -435,38 +455,23 @@ def _search(
                         return False
         return True
 
-    def compare(
-        live: list[tuple[Relabeling, int]]
-    ) -> Optional[list[tuple[Relabeling, int]]]:
+    def compare(live: list[tuple[Relabeling, int]]) -> Optional[list]:
         """The live relabelings that wait at an open row or give the table
         back, each with the row it stopped at; ``None`` when one gives a
         smaller table."""
         kept = []
         for relabeling, j in live:
-            p, pinv, then_pinv = relabeling
-            while j < n:
-                row = rows[j]
-                source = rows[pinv[j]]
-                if row is None or source is None:
-                    kept.append((relabeling, j))
-                    break
-                image = itemgetter(*then_pinv(source))(p)  # p s p^-1
-                if image != row:
-                    if image < row:
-                        return None
-                    break
-                j += 1
-            else:
+            j, image = _first_difference(rows, rows, relabeling, j)
+            if image is None:
                 kept.append((relabeling, j))
+            elif image < rows[j]:
+                return None
         return kept
 
     def search(live: list[tuple[Relabeling, int]]) -> None:
         x = next((i for i in rng if rows[i] is None), None)
         if x is None:
-            flat = bytearray()
-            for row in rows:
-                flat.extend(row)  # type: ignore[arg-type]
-            results.append((bytes(flat), sorted(rel[0] for rel, _j in live)))
+            results.append((tuple(rows), sorted(rel[0] for rel, _j in live)))
             return
         for p in candidates[x]:
             if not candidate_ok(x, p):
@@ -488,40 +493,26 @@ def _search(
     return results
 
 
-def _relabel(flat: bytes, n: int, p: Sequence[int], pinv: Sequence[int]) -> bytes:
-    """Relabel a flattened rack by p: new s_{p(x)} = p s_x p^-1."""
-    out = bytearray(n * n)
-    for x in range(n):
-        base = pinv[x] * n
-        off = x * n
-        for j in range(n):
-            out[off + j] = p[flat[base + pinv[j]]]
-    return bytes(out)
-
-
-def _canonical(
-    flat: bytes, n: int, autos: Sequence[Sequence[int]]
-) -> tuple[bytes, tuple[int, ...], list[int]]:
-    """The lexicographically least relabeling of a flattened rack, i.e.
-    ``min(_relabel(flat, n, p, p^-1) for p in S_n)``, with a relabeling
-    ``p`` that gives it and ``p^-1``.
+def _canonical(rows: Table, autos: Sequence[Sequence[int]]) -> tuple[Table, Relabeling]:
+    """The lexicographically least relabeling of the rack table ``rows``
+    (the least over all of ``S_n``), with a relabeling ``(p, p^-1,
+    q -> q p^-1)`` that gives it.
 
     Taken over the relabelings of :func:`_normal_relabelings` only, skipping
-    those that the automorphisms ``autos`` show to repeat a table.
-    :func:`_enumerate` passes all of ``Aut R``, and each distinct table is
-    then relabeled once; any subset of ``Aut R``, even an empty one, gives
-    the same result with more work.
+    those that the automorphisms ``autos`` show to repeat a table: with all
+    of ``Aut R``, as :func:`_enumerate` passes, each distinct table is tried
+    once, and any subset, even an empty one, gives the same result with more
+    work.  Each is compared with the least table so far by
+    :func:`_first_difference`, dropped at its first larger row and built on
+    from its first smaller one.
     """
-    relabeled = (
-        (_relabel(flat, n, p, pinv), p, pinv)
-        for p, pinv in _normal_relabelings(flat, n, autos)
-    )
-    return min(relabeled, key=itemgetter(0))
-
-
-def _unflatten(flat: bytes, n: int) -> Rack:
-    s = [tuple(flat[x * n : (x + 1) * n]) for x in range(n)]
-    return check_rack(n, s)
+    best, chosen = rows, _relabeling(tuple(range(len(rows))))
+    for relabeling in _normal_relabelings(rows, autos):
+        j, image = _first_difference(rows, best, relabeling, 0)
+        if image is not None and image < best[j]:
+            moved = (_moved(relabeling, rows[i]) for i in relabeling[1][j:])
+            best, chosen = best[:j] + tuple(moved), relabeling
+    return best, chosen
 
 
 def _enumerate(
@@ -541,29 +532,29 @@ def _enumerate(
     on ``U(Q)``, each with ``Aut R = C_{Aut Q}(u)`` (:func:`orbit_centralizers`),
     which :func:`_canonical` uses; ``U(R) = C_{U(Q)}(u)`` is ``U(Q) & Aut R``;
     the GL-classes on ``R`` are the ``Aut R``-orbits on ``U(R)``, each
-    moved onto the canonical table by the relabeling ``p`` that gives it,
-    with the least of its members ``p v p^-1`` as representative; and
+    moved onto the canonical table by the relabeling ``p`` that gives it
+    (:func:`_moved`), with the least ``p v p^-1`` as representative; and
     ``R`` is medial exactly when ``Q`` is (its transvections are those of
     ``Q`` conjugated by ``u``).
     """
     check_order(n, long_run)
     found = []
-    for flat, aut_q in _labeled_racks(n):
-        quandle = _unflatten(flat, n)
+    for table, aut_q in _labeled_racks(n):
+        quandle = check_rack(n, table)
         structures = gl_structures(quandle, aut_q)
         medial = is_medial(quandle)
         members = [v.images for v in structures.elements]
         for orbit, aut_r in orbit_centralizers(members, aut_q):
             u = orbit[0]
-            untwisted = bytes(u[v] for v in flat)
+            untwisted = tuple(_row_getter(s)(u) for s in table)  # rows u s_x
             autos = [a.images for a in aut_r.elements]
-            canon, p, pinv = _canonical(untwisted, n, autos)
+            canon, relabeling = _canonical(untwisted, autos)
             reps = None
             if classes:
                 fixing = set(autos)
                 on_r = [v for v in members if v in fixing]  # C_{U(Q)}(u)
                 reps = sorted(
-                    min(tuple(p[v[j]] for j in pinv) for v in gl_orbit)
+                    min(_moved(relabeling, v) for v in gl_orbit)
                     for gl_orbit in conjugation_orbits(on_r, aut_r)
                 )
             found.append((canon, reps, medial))
@@ -573,7 +564,7 @@ def _enumerate(
             raise RuntimeError(
                 f"two GL-quandle classes untwist to isomorphic racks: {list(a)}"
             )
-    return [(_unflatten(flat, n), reps, medial) for flat, reps, medial in found]
+    return [(check_rack(n, table), reps, medial) for table, reps, medial in found]
 
 
 def enumerate_racks(n: int, long_run: bool = False) -> list[Rack]:

@@ -129,6 +129,11 @@ def cmd_classify(args) -> int:
             return _fail(str(exc), EXIT_INVALID)
         if any(r.n != args.n for r in racks):
             return _fail("library racks do not all have the requested order", EXIT_INVALID)
+        first: dict[Rack, int] = {}
+        for i, rack in enumerate(racks, 1):
+            if first.setdefault(rack, i) != i:
+                same = f"library entries {first[rack]} and {i} are the same table"
+                return _fail(same, EXIT_INVALID)
     try:
         result = _classify.classify_gl(
             args.n,

@@ -23,15 +23,21 @@ from glracks.perm import (
 )
 
 
-def relabel_by(flat, n, p):
-    """The flattened table ``flat`` relabeled by ``p`` (old -> new label)."""
-    pinv = tuple(sorted(range(n), key=p.__getitem__))
-    return classify._relabel(flat, n, tuple(p), pinv)
+def relabel_by(table, n, p):
+    """The table ``table`` (its rows ``s_x``) relabeled by ``p`` (old -> new
+    label), from the definition: the new ``s_{p(x)}`` is ``p s_x p^-1``."""
+    new = [None] * n
+    for x, s in enumerate(table):
+        row = [0] * n
+        for y in range(n):
+            row[p[y]] = p[s[y]]
+        new[p[x]] = tuple(row)
+    return tuple(new)
 
 
-def oracle_min(flat, n):
+def oracle_min(table, n):
     """The lex-least relabeling by brute force over S_n."""
-    return min(relabel_by(flat, n, p) for p in itertools.permutations(range(n)))
+    return min(relabel_by(table, n, p) for p in itertools.permutations(range(n)))
 
 
 def sweep_dedupe(labeled, n):
@@ -50,9 +56,46 @@ def sweep_dedupe(labeled, n):
 @functools.lru_cache(maxsize=None)
 def rack_first(n):
     """Every rack table on {0..n-1}, by the labeled search with every row
-    open to every permutation."""
+    open to every permutation and no relabelings."""
     perms = list(itertools.permutations(range(n)))
-    return tuple(flat for flat, _autos in classify._search([None] * n, [perms] * n))
+    found = classify._search([None] * n, [perms] * n, lambda b, row: [])
+    return tuple(table for table, _autos in found)
+
+
+@functools.lru_cache(maxsize=None)
+def orderly_racks(n):
+    """The lex-least rack table of each class, ascending, by the branch loop
+    of the quandle search run over racks.
+
+    Every rack row keeps the identity set, as in a quandle, so the least
+    table has the same normal form: with ``k`` identity rows, rows
+    ``0..k-1`` are the identity and row ``k`` is the least block key ``D``.
+    Here row ``k`` may move ``k``, so the block forms range over every
+    non-identity row that keeps ``{0..k-1}``; the search and its
+    relabelings are the package's, so this checks the untwist, the orbit
+    walks and the canonical form, not the search.
+    """
+    identity = tuple(range(n))
+    found = [(identity,) * n]
+    for k in range(n):
+        forms = {
+            row: classify._block_form(row, range(k), k)
+            for row in itertools.permutations(range(n))
+            if row != identity and set(row[:k]) == set(range(k))
+        }
+        swaps = classify._transpositions(n, k)
+        keyed = [
+            [(key, classify._swapped(swaps[x], r)) for r, (key, _p) in forms.items()]
+            for x in range(k + 1, n)
+        ]
+        for d in sorted({key for key, _p in forms.values()}):
+            rows = [identity] * k + [d] + [None] * (n - k - 1)
+            candidates = [[]] * (k + 1) + [
+                [row for key, row in at_x if key >= d] for at_x in keyed
+            ]
+            relabelings = classify._branch_relabelings(k, d, forms, swaps)
+            found += [t for t, _a in classify._search(rows, candidates, relabelings)]
+    return tuple(sorted(found))
 
 
 def is_gl_structure(rack, u):

@@ -24,6 +24,7 @@ from oracles import (
     centralizer,
     gl_structures_brute,
     oracle_min,
+    orderly_racks,
     rack_first,
     relabel_by,
     sweep_dedupe,
@@ -76,10 +77,10 @@ class TestQuandleFirst:
     def test_quandle_search_keeps_the_least_table_of_every_class(self):
         for n in range(7):
             quandles = {
-                f for f in rack_first(n) if all(f[x * n + x] == x for x in range(n))
+                t for t in rack_first(n) if all(t[x][x] == x for x in range(n))
             }
             oracle = sweep_dedupe(quandles, n)
-            labeled = [flat for flat, _aut in classify._labeled_racks(n)]
+            labeled = [table for table, _aut in classify._labeled_racks(n)]
             assert labeled == oracle
 
     def test_labeled_quandle_counts(self):
@@ -97,8 +98,8 @@ class TestQuandleFirst:
         # whole automorphism group; for the trivial quandle that is S_n
         classes = classify._labeled_racks(n)
         assert len(classes) == EXPECTED_COUNTS[n][6]  # r_q
-        for flat, aut in classes:
-            quandle = classify._unflatten(flat, n)
+        for table, aut in classes:
+            quandle = check_rack(n, table)
             assert aut.elements == aut_group(quandle).elements
         assert classes[0][1].order == math.factorial(n)
 
@@ -132,13 +133,13 @@ class TestQuandleFirst:
 
     def test_canonical_is_lex_least_relabeling_up_to_order_4(self):
         for n in range(5):
-            for flat in rack_first(n):
-                assert classify._canonical(flat, n, ())[0] == oracle_min(flat, n)
+            for table in rack_first(n):
+                assert classify._canonical(table, ())[0] == oracle_min(table, n)
                 # the same table with the automorphisms, and p gives it
-                autos = _images(aut_group(classify._unflatten(flat, n)))
-                table, p, pinv = classify._canonical(flat, n, autos)
-                assert table == oracle_min(flat, n)
-                assert classify._relabel(flat, n, p, pinv) == table
+                autos = _images(aut_group(check_rack(n, table)))
+                canon, (p, pinv, _then) = classify._canonical(table, autos)
+                assert canon == oracle_min(table, n)
+                assert relabel_by(table, n, p) == canon
                 assert [p[v] for v in pinv] == list(range(n))
 
     @pytest.mark.parametrize("n", [5, 6])
@@ -147,29 +148,36 @@ class TestQuandleFirst:
         # oracle, at order 6 by test_enumeration_equals_rack_first_oracle
         rng = random.Random(n)
         for rack in enumerate_racks(n):
-            flat = bytes(v for row in rack.tables() for v in row)
+            table = rack.tables()
             if n == 5:
-                assert oracle_min(flat, n) == flat
+                assert oracle_min(table, n) == table
             autos = _images(aut_group(rack))
             for _ in range(3):
                 p = list(range(n))
                 rng.shuffle(p)
-                assert classify._canonical(relabel_by(flat, n, p), n, ())[0] == flat
+                assert classify._canonical(relabel_by(table, n, p), ())[0] == table
                 # with aut_group moved onto the relabeled table: p a p^-1
-                relabeled = relabel_by(flat, n, p)
+                relabeled = relabel_by(table, n, p)
                 pinv = sorted(range(n), key=p.__getitem__)
                 moved = sorted(tuple(p[a[j]] for j in pinv) for a in autos)
-                relabeled_rack = classify._unflatten(relabeled, n)
+                relabeled_rack = check_rack(n, relabeled)
                 assert moved == _images(aut_group(relabeled_rack))
-                table, q, qinv = classify._canonical(relabeled, n, moved)
-                assert table == flat
-                assert classify._relabel(relabeled, n, q, qinv) == flat
+                canon, (q, _qinv, _then) = classify._canonical(relabeled, moved)
+                assert canon == table
+                assert relabel_by(relabeled, n, q) == table
 
     @pytest.mark.parametrize("n", range(7))
     def test_enumeration_equals_rack_first_oracle(self, n):
         oracle = sweep_dedupe(rack_first(n), n)
-        got = [bytes(v for row in r.tables() for v in row) for r in enumerate_racks(n)]
+        got = [r.tables() for r in enumerate_racks(n)]
         assert got == oracle
+
+    @pytest.mark.parametrize("n", [*range(8), pytest.param(8, marks=long_run_only)])
+    def test_enumeration_equals_orderly_rack_search(self, n):
+        # the least table of each class straight from the orderly search run
+        # over racks, with no untwist, orbit walk or canonical form
+        got = [r.tables() for r in enumerate_racks(n, long_run=True)]
+        assert got == list(orderly_racks(n))
 
     def test_equal_canonical_forms_raise(self, monkeypatch):
         # every GL-quandle class met twice untwists to the same rack twice
@@ -192,15 +200,15 @@ class TestCarriedAutomorphisms:
         # the normal relabelings split into cosets p Aut R, one table each;
         # with all of Aut R exactly one relabeling per coset is yielded
         for rack in enumerate_racks(n):
-            flat = bytes(v for row in rack.tables() for v in row)
+            table = rack.tables()
             autos = _images(aut_group(rack))
-            every = list(classify._normal_relabelings(flat, n))
-            fewer = list(classify._normal_relabelings(flat, n, autos))
-            if flat == bytes(range(n)) * n:  # the trivial rack: identity only
-                assert fewer == every == [(tuple(range(n)), list(range(n)))]
+            every = [rel[:2] for rel in classify._normal_relabelings(table)]
+            fewer = [rel[:2] for rel in classify._normal_relabelings(table, autos)]
+            if table == (tuple(range(n)),) * n:  # the trivial rack: identity only
+                assert fewer == every == [(tuple(range(n)), tuple(range(n)))]
                 continue
             assert len(fewer) * len(autos) == len(every)
-            tables = {classify._relabel(flat, n, p, pinv) for p, pinv in fewer}
+            tables = {relabel_by(table, n, p) for p, _pinv in fewer}
             assert len(tables) == len(fewer)
 
     @pytest.mark.parametrize("n", range(7))
@@ -210,14 +218,14 @@ class TestCarriedAutomorphisms:
         real = classify._canonical
         seen = []
 
-        def canonical(flat, n, autos=()):
-            seen.append((flat, autos))
-            return real(flat, n, autos)
+        def canonical(table, autos=()):
+            seen.append((table, autos))
+            return real(table, autos)
 
         monkeypatch.setattr(classify, "_canonical", canonical)
         assert len(enumerate_racks(n)) == len(seen)
-        for flat, autos in seen:
-            assert autos == _images(aut_group(classify._unflatten(flat, n)))
+        for table, autos in seen:
+            assert autos == _images(aut_group(check_rack(n, table)))
 
     @pytest.mark.parametrize("n", range(7))
     def test_carried_classes_are_gl_classes(self, n):
@@ -231,8 +239,8 @@ class TestCarriedAutomorphisms:
         # Aut G(Q, u) = C_{Aut Q}(u), U(G(Q, u)) = C_{U(Q)}(u), and
         # G(Q, u) is medial exactly when Q is
         for n in range(6):
-            for flat, _aut in classify._labeled_racks(n):
-                quandle = classify._unflatten(flat, n)
+            for table, _aut in classify._labeled_racks(n):
+                quandle = check_rack(n, table)
                 aut_q = aut_group(quandle)
                 u_q = gl_structures(quandle, aut_q)
                 medial = is_medial(quandle)
@@ -356,8 +364,8 @@ class TestClassification:
         # its transvections are those of Q conjugated by u.
         identity = Permutation.identity(n)
         counts = [0] * 8
-        for flat, _aut in classify._labeled_racks(n):
-            quandle = classify._unflatten(flat, n)
+        for table, _aut in classify._labeled_racks(n):
+            quandle = check_rack(n, table)
             aut = aut_group(quandle)
             structures = gl_structures(quandle, aut)
             medial = is_medial(quandle)

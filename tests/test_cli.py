@@ -500,6 +500,24 @@ class TestClassify:
         code, _out, err = run(capsys, "classify", "-n", "4", "--source", lib)
         assert code == 1
 
+    def test_source_with_a_table_twice_exits_1(self, capsys, tmp_path):
+        # refused before any classification, and no --out is left behind; a
+        # relabeled copy is not the same table and still passes
+        lib, out = str(tmp_path / "lib.txt"), str(tmp_path / "out.txt")
+        table = "[[2,3,1],[2,3,1],[2,3,1]]"
+        with open(lib, "w") as fh:
+            fh.write(f"[[[1,2,3],[1,2,3],[1,2,3]],{table},{table}]")
+        code, out_text, err = run(
+            capsys, "classify", "-n", "3", "--source", lib, "--out", out
+        )
+        assert (code, out_text) == (1, "")
+        assert err == "error: library entries 2 and 3 are the same table\n"
+        assert not os.path.exists(out)
+        with open(lib, "w") as fh:
+            fh.write(f"[{table},[[3,1,2],[3,1,2],[3,1,2]]]")
+        code, out_text, _err = run(capsys, "classify", "-n", "3", "--source", lib)
+        assert code == 0 and out_text.endswith("n=3 records=6\n")
+
     def test_checkpoint_resume_same_output(self, capsys, tmp_path):
         ckpt = str(tmp_path / "ckpt.txt")
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")

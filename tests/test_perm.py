@@ -17,6 +17,7 @@ from glracks.perm import (
     row_cycle_type,
     symmetric_group,
 )
+from glracks.racks import check_rack
 
 from oracles import are_conjugate, centralizer, conjugacy_classes
 
@@ -172,8 +173,8 @@ class TestGroups:
         # enumeration takes them
         symmetric = symmetric_group(n)
         cases = [([g.images for g in symmetric.elements], symmetric)]
-        for flat, aut in classify._labeled_racks(n):
-            structures = classify.gl_structures(classify._unflatten(flat, n), aut)
+        for table, aut in classify._labeled_racks(n):
+            structures = classify.gl_structures(check_rack(n, table), aut)
             cases.append(([u.images for u in structures.elements], aut))
         for members, group in cases:
             walked = orbit_centralizers(members, group)
