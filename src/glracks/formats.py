@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .glrack import GLFlags, GLRack, check_gl
+from .glrack import GLFlags, GLRack, _columns, _is_gl, check_gl
 from .perm import Permutation, print_cycles
 from .racks import Rack, RackError, check_rack, is_medial, is_quandle, theta
 
@@ -96,7 +96,14 @@ class _Table:
     it is), and ``theta^-1`` and ``is_quandle`` and ``is_medial``, each made
     when first asked for.  :meth:`record` builds the record of a
     GL-structure on the table, and :meth:`validate` checks a stored one;
-    both go through :meth:`_derive`."""
+    both go through :meth:`_derive`.
+
+    Each ``u`` is tested by the whole-table kernel
+    :func:`glracks.glrack._is_gl` on the table's own rows ``s`` and its
+    column bytes.  The column bytes are built once per table and are the
+    only GL state it keeps; nothing is kept on the ``Rack``.  A ``u``
+    that fails, and every ``u`` on a table of fewer than 2 or more than
+    256 points, goes to :func:`check_gl`, which gives the exact error."""
 
     def __init__(self, n: int, s, rack: Optional[Rack] = None) -> None:
         self.n = n
@@ -122,11 +129,19 @@ class _Table:
     def quandle_medial(self) -> tuple[bool, bool]:
         return is_quandle(self.rack), is_medial(self.rack)
 
+    @cached_property
+    def columns(self) -> Optional[tuple[bytes, ...]]:
+        """The column bytes of a rack table of 2 to 256 points, else None."""
+        return _columns(self.rack.tables()) if 1 < self.n <= 256 else None
+
     def _derive(self, u: Permutation) -> tuple[tuple[int, ...], GLFlags]:
-        """Check ``u`` (:func:`check_gl`), and derive its down map
+        """Check ``u`` on this rack table, and derive its down map
         ``d = theta^-1 u^-1`` and its flags from image tuples."""
-        check_gl(self.rack, u)
         ui = u.images
+        columns = self.columns
+        # an s given as lists never passes the kernel's row test
+        if columns is None or len(ui) != self.n or not _is_gl(self.s, columns, ui):
+            check_gl(self.rack, u)
         down = [0] * self.n
         for ux, t in zip(ui, self.theta_inv):
             down[ux] = t  # d(u(x)) = theta^-1(x)

@@ -72,6 +72,35 @@ class GLFlags:
     legendrian: bool
 
 
+def _columns(rows) -> tuple[bytes, ...]:
+    """The columns of a table of at most 256 points as bytes:
+    ``columns[y][x] = s_x(y)``."""
+    return tuple(map(bytes, zip(*rows)))
+
+
+def _is_gl(rows, columns: tuple[bytes, ...], ui: tuple[int, ...]) -> bool:
+    """Whether the permutation ``ui`` of the ``2 <= n <= 256`` points of
+    the table ``rows`` (a tuple of rows, whose ``_columns`` are
+    ``columns``) is a GL-structure on it, tested on the whole table at
+    once by its two conditions:
+
+    - rows invariant, ``s_{u(x)} = s_x`` for every ``x``: one getter
+      call on ``rows``;
+    - commuting, ``u s_x(y) = s_x u(y)`` for every ``x`` and ``y``: the
+      joined columns, translated by ``u``, equal the columns reordered
+      by ``u`` and joined.
+
+    Together they are exactly :func:`check_gl`'s condition: given
+    commuting, ``u s_x = s_{u(x)} u`` holds exactly when
+    ``s_x = s_{u(x)}``.  Bytes past ``n`` never occur in a column, so
+    the translation table is padded with anything.
+    """
+    get = itemgetter(*ui)
+    return get(rows) == rows and (
+        b"".join(columns).translate(bytes(ui).ljust(256)) == b"".join(get(columns))
+    )
+
+
 def check_gl(rack: Rack, u: Permutation) -> GLRack:
     """Validate that ``u`` is a GL-structure on ``rack``.
 
@@ -79,9 +108,11 @@ def check_gl(rack: Rack, u: Permutation) -> GLRack:
     ``u s_x != s_u(x) u``, else :class:`DoesNotCommuteError` at the first
     ``x`` where ``u s_x != s_x u``.
 
-    Both tests compare whole rows: ``(u s_x)_x == (s_{u(x)} u)_x`` and
-    ``(u s_x)_x == (s_x u)_x``, each one comparison of tuples built in C.
-    Only when one fails are the rows scanned for the first failing ``x``.
+    Up to 256 points a ``u`` is tested on the whole table by
+    :func:`_is_gl`, four calls in C.  Past 256 points, where a point is
+    no byte, and for a ``u`` that fails, the rows ``(u s_x)_x``,
+    ``(s_{u(x)} u)_x`` and ``(s_x u)_x`` are built and compared whole,
+    then scanned for the first failing ``x``.
     """
     if u.degree != rack.n:
         raise GLRackError(f"u has degree {u.degree}, rack has order {rack.n}")
@@ -89,18 +120,19 @@ def check_gl(rack: Rack, u: Permutation) -> GLRack:
     # below two points u is the identity
     if rack.n > 1:
         rows = rack.tables()
-        # the rows of u s_x, one getter per row, and of s_x u, the one
-        # getter of u; that getter also lists the rows s_{u(x)} u in x order
-        then_u = itemgetter(*ui)
-        u_s = tuple([itemgetter(*rx)(ui) for rx in rows])
-        s_u = tuple(map(then_u, rows))
-        if u_s != s_u or u_s != then_u(s_u):
-            for x, row in enumerate(u_s):
-                if row != s_u[ui[x]]:
-                    raise NotAutomorphismError(x)
-            for x, row in enumerate(u_s):
-                if row != s_u[x]:
-                    raise DoesNotCommuteError(x)
+        if rack.n > 256 or not _is_gl(rows, _columns(rows), ui):
+            # the rows of u s_x, one getter per row, and of s_x u, the one
+            # getter of u; that getter also lists the rows s_{u(x)} u in x order
+            then_u = itemgetter(*ui)
+            u_s = tuple([itemgetter(*rx)(ui) for rx in rows])
+            s_u = tuple(map(then_u, rows))
+            if u_s != s_u or u_s != then_u(s_u):
+                for x, row in enumerate(u_s):
+                    if row != s_u[ui[x]]:
+                        raise NotAutomorphismError(x)
+                for x, row in enumerate(u_s):
+                    if row != s_u[x]:
+                        raise DoesNotCommuteError(x)
     return GLRack(rack, u)
 
 

@@ -8,7 +8,13 @@ import sys
 
 import pytest
 
-from glracks.formats import parse_record_line
+from glracks.formats import (
+    gl_records,
+    parse_record_line,
+    read_racks,
+    scan_records,
+    write_records,
+)
 from glracks.glrack import check_gl
 from glracks.morphisms import (
     aut_glr,
@@ -271,6 +277,19 @@ class TestSearchCache:
             for u in classify.gl_structures(copy, aut).elements:
                 aut_glr(check_gl(copy, u))
             assert set(vars(copy)) == {"n", "s"}
+
+    def test_record_layer_stores_nothing(self, small_racks, tmp_path):
+        # the GL check's column bytes stay on the record layer's table
+        path = str(tmp_path / "records.txt")
+        for _n, rack in small_racks:
+            copy = _fresh(rack)
+            us = classify.gl_structures(rack, aut_group(rack)).elements
+            write_records(path, gl_records(copy, us))
+            assert set(vars(copy)) == {"n", "s"}
+            assert all(not isinstance(found, ValueError) for _, found in scan_records(path))
+            assert set(vars(copy)) == {"n", "s"}
+            for _record, read in read_racks(path):
+                assert set(vars(read)) == {"n", "s"}
 
     def test_one_query_from_a_large_source_interns_nothing(self):
         # the classification orders keep their schedules; an order-300

@@ -7,10 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glracks.classify import enumerate_racks, gl_classes
+from glracks.formats import StructureRecord, gl_records, scan_records, write_records
 from glracks.glrack import (
     DoesNotCommuteError,
     GLRackError,
     NotAutomorphismError,
+    _columns,
+    _is_gl,
     check_gl,
 )
 from glracks.morphisms import aut_group, hom_rack
@@ -30,6 +33,7 @@ from glracks.racks import (
     SelfDistributivityError,
     check_rack,
     is_medial,
+    permutation_rack,
 )
 
 from oracles import centralizer
@@ -236,15 +240,65 @@ class TestIsMedial:
         assert max(sizes) > 5
 
 
+def _cycle(n):
+    return Permutation(tuple(range(1, n)) + (0,))
+
+
+# orders 6 to 8: every order-6 rack, and trivial and permutation racks of
+# orders 7 and 8, whose rows all repeat the first
+LARGER = enumerate_racks(6) + [
+    permutation_rack(n, sigma)
+    for n in (7, 8)
+    for sigma in (
+        Permutation.identity(n),
+        _cycle(n),
+        Permutation((1, 0) + tuple(range(2, n))),
+    )
+]
+
+
 @st.composite
 def racks_and_maps(draw):
-    """A rack of order <= 5 and a random permutation, or one of its
-    GL-structure class representatives."""
-    rack = draw(st.sampled_from(RACKS))
-    random_u = st.permutations(range(rack.n)).map(Permutation)
-    structures = [u for u, _size in gl_classes(rack)]
-    u = draw(st.one_of(random_u, st.sampled_from(structures)))
-    return rack, u
+    """A rack of order <= 8 and a random permutation, one of its
+    automorphisms or GL-structures (order <= 6), or a power of its first
+    row (a GL-structure on a permutation rack)."""
+    rack = draw(st.sampled_from(RACKS + LARGER))
+    maps = [st.permutations(range(rack.n)).map(Permutation)]
+    if rack.n <= 6:
+        maps.append(st.sampled_from([u for u, _size in gl_classes(rack)]))
+        maps.append(st.sampled_from(aut_group(rack).elements))
+    else:
+        maps.append(st.integers(0, rack.n - 1).map(rack.s[0].__pow__))
+    return rack, draw(st.one_of(maps))
+
+
+@pytest.fixture(scope="module")
+def record_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("records") / "records.txt")
+
+
+def record_outcomes(rack, u, path):
+    """What the record layer made of ``(rack, u)``: the outcome of
+    ``gl_records``, and that of a ``scan_records`` read of the record of
+    ``u`` (with no ``d`` or flags) written to ``path``."""
+    built = outcome(gl_records, rack, [u])
+    write_records(path, [StructureRecord(rack.n, rack.tables(), u.images)])
+    [(_lineno, found)] = scan_records(path)
+    if isinstance(found, StructureRecord):
+        read = ("ok", found)
+    else:
+        read = (type(found), getattr(found, "x", None), None, str(found))
+    return built, read
+
+
+def two_block_rack(half):
+    """A rack of order ``2 half``: ``s_x`` is the cycle of the first half
+    for ``x`` in it, and the cycle of the second half for ``x`` in that.
+    The swap of the halves is an automorphism that commutes with no
+    ``s_x``; the first cycle is a GL-structure."""
+    a = tuple(range(1, half)) + (0,) + tuple(range(half, 2 * half))
+    b = tuple(range(half)) + tuple(range(half + 1, 2 * half)) + (half,)
+    return check_rack(2 * half, [a] * half + [b] * half), Permutation(a)
 
 
 class TestCheckGL:
@@ -254,15 +308,55 @@ class TestCheckGL:
         rack, u = pair
         got = outcome(check_gl, rack, u)
         want = outcome(check_gl_oracle, rack, u)
+        if rack.n > 1:
+            # the whole-table kernel, which check_gl runs first
+            rows = rack.tables()
+            assert _is_gl(rows, _columns(rows), u.images) == (want[0] == "ok")
         if want[0] == "ok":
             assert got[0] == "ok" and got[1].rack is rack and got[1].u is u
         else:
             assert got == want
 
+    @settings(max_examples=400, deadline=None)
+    @given(racks_and_maps())
+    def test_record_layer_agrees_with_oracle(self, record_path, pair):
+        rack, u = pair
+        want = outcome(check_gl_oracle, rack, u)
+        built, read = record_outcomes(rack, u, record_path)
+        if want[0] == "ok":
+            assert built[0] == "ok" and built[1][0].u == u.images
+            assert read[0] == "ok" and read[1].u == u.images
+        else:
+            assert built == want and read == want
+
     def test_wrong_degree(self):
         rack = RACKS[5]
         u = Permutation.identity(rack.n + 1)
         assert outcome(check_gl, rack, u) == outcome(check_gl_oracle, rack, u)
+        assert outcome(gl_records, rack, [u]) == outcome(check_gl_oracle, rack, u)
+
+    @pytest.mark.parametrize("case", ["permutation", "two_block"])
+    def test_beyond_the_byte_range(self, record_path, case):
+        # past 256 points no point is a byte, and every u goes to the row scan
+        if case == "permutation":
+            sigma = _cycle(300)
+            rack, good = permutation_rack(300, sigma), sigma**7
+            # on a permutation rack a u that does not commute with sigma
+            # is no automorphism either
+            bad = Permutation((1, 0) + tuple(range(2, 300)))
+            error = NotAutomorphismError
+        else:
+            rack, good = two_block_rack(150)
+            bad = Permutation(tuple(range(150, 300)) + tuple(range(150)))
+            error = DoesNotCommuteError
+        assert outcome(check_gl_oracle, rack, good)[0] == "ok"
+        want = outcome(check_gl_oracle, rack, bad)
+        assert want[0] is error
+        assert check_gl(rack, good).u is good
+        assert outcome(check_gl, rack, bad) == want
+        built, read = record_outcomes(rack, good, record_path)
+        assert built[0] == "ok" and read[0] == "ok"
+        assert record_outcomes(rack, bad, record_path) == (want, want)
 
 
 # ---------------------------------------------------------------------------
