@@ -343,8 +343,9 @@ def _pointwise_rack(source: Rack, target: Rack, homs: list[Map]) -> Rack:
     t_rows = target.tables()
     codes = ["".join([chr(x * m + v) for x, v in enumerate(f)]) for f in homs]
     index = {code: i for i, code in enumerate(codes)}
-    # the row of g depends on g only through the rows t_{g(x)}
-    row_of: dict[tuple[tuple[int, ...], ...], Permutation] = {}
+    # the row of g depends on g only through the rows t_{g(x)}, and equal
+    # rows share one tuple
+    row_of: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
     s = []
     for g in homs:
         key = tuple(map(t_rows.__getitem__, g))
@@ -352,10 +353,9 @@ def _pointwise_rack(source: Rack, target: Rack, homs: list[Map]) -> Rack:
             # table[x*m + v] = x*m + t_{g(x)}(v)
             table = [x * m + t for x, row in enumerate(key) for t in row]
             try:
-                images = [index[code.translate(table)] for code in codes]
+                row_of[key] = tuple([index[code.translate(table)] for code in codes])
             except KeyError:
                 raise AssertionError("a pointwise product leaves the hom set") from None
-            row_of[key] = Permutation(images)
         s.append(row_of[key])
     rack = check_rack(len(homs), s)
     assert is_medial(rack)

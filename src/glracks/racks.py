@@ -3,7 +3,9 @@
 A rack is a finite carrier ``{0, ..., n-1}`` together with one permutation
 ``s[x]`` per element, satisfying self-distributivity
 ``s_x s_y = s_{s_x(y)} s_x``.  Quandles additionally fix every point:
-``s_x(x) = x``.
+``s_x(x) = x``.  A :class:`Rack` holds its table as rows, ``rows[x]``
+being the image array of ``s_x``, which is what every algorithm here
+reads; ``Rack.s`` wraps them as permutations for the group-level callers.
 """
 
 from __future__ import annotations
@@ -84,18 +86,25 @@ def _schedule(rows: Sequence[Sequence[int]]) -> _Schedule:
 
 @dataclass(frozen=True)
 class Rack:
-    """A validated finite rack.  Construct via :func:`check_rack`."""
+    """A validated finite rack, held as its rows: ``rows[x]`` is the image
+    array of ``s_x``.  Construct via :func:`check_rack`."""
 
     n: int
-    s: tuple[Permutation, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def tables(self) -> tuple[tuple[int, ...], ...]:
-        """The image arrays of the ``s_x``, row ``x`` being ``s[x].images``."""
-        return tuple(p.images for p in self.s)
+        """The image arrays of the ``s_x``: ``rows`` itself, built once."""
+        return self.rows
+
+    @property
+    def s(self) -> tuple[Permutation, ...]:
+        """The ``s_x`` as permutations, wrapped from ``rows`` on each access
+        and not kept."""
+        return tuple(map(Permutation.unchecked, self.rows))
 
     # Derived data, built on first use and then kept on the instance:
     # ``cached_property`` writes to ``__dict__``, which the frozen dataclass
-    # allows, and equality and hashing read only ``n`` and ``s``.
+    # allows, and equality and hashing read only ``n`` and ``rows``.
 
     @cached_property
     def _checks(self) -> _Schedule:
@@ -133,42 +142,35 @@ def check_rack(n: int, s: Sequence[Permutation | Sequence[int]]) -> Rack:
     not a bijection, else :class:`SelfDistributivityError` at the first
     failing pair ``(x, y)``.
 
-    The axiom is checked once per distinct row: each pair ``(x, y)``
-    depends on ``x`` only through ``s_x``, so a row equal to an earlier one
-    passes as that one did.  A table with ``d`` distinct rows of ``n``
+    Each check runs once per distinct row: a row equal to an earlier one
+    passes as that one did, since each pair ``(x, y)`` depends on ``x``
+    only through ``s_x``.  A table with ``d`` distinct rows of ``n``
     points costs ``d n^2``, not ``n^3`` (hom racks repeat rows heavily).
     """
     if len(s) != n:
         raise RackError(f"expected {n} permutations, got {len(s)}")
-    perms = []
+    rows = []
+    # each distinct row, keyed to the first x that has it
+    first: dict[tuple[int, ...], int] = {}
     for x, entry in enumerate(s):
-        if isinstance(entry, Permutation):
-            if entry.degree != n:
-                raise NotABijectionError(x, f"degree {entry.degree} != {n}")
-            perms.append(entry)
-        else:
-            try:
-                p = Permutation(entry)
-            except ValueError as exc:
-                raise NotABijectionError(x, str(exc)) from exc
-            if p.degree != n:
-                raise NotABijectionError(x, f"degree {p.degree} != {n}")
-            perms.append(p)
-    rows = [p.images for p in perms]
+        row = entry.images if isinstance(entry, Permutation) else tuple(entry)
+        if first.setdefault(row, x) == x:
+            if sorted(row) != list(range(len(row))):
+                raise NotABijectionError(x, f"not a bijection on 0..{len(row) - 1}: {row!r}")
+            if len(row) != n:
+                raise NotABijectionError(x, f"degree {len(row)} != {n}")
+        rows.append(row)
     # then[y](f) is the row of f s_y (s_y, then f), built in C
     then = [itemgetter(*row) for row in rows]
-    first: dict[tuple[int, ...], int] = {}
-    for x, rx in enumerate(rows):
-        if first.setdefault(rx, x) != x:
-            continue
+    for rx, x in first.items():
         for y in range(n):
             if then[y](rx) != then[x](rows[rx[y]]):
                 raise SelfDistributivityError(x, y)
-    return Rack(n, tuple(perms))
+    return Rack(n, tuple(rows))
 
 
 def is_quandle(rack: Rack) -> bool:
-    return all(p.images[x] == x for x, p in enumerate(rack.s))
+    return all(row[x] == x for x, row in enumerate(rack.tables()))
 
 
 def is_medial(rack: Rack) -> bool:
@@ -215,7 +217,7 @@ def theta(rack: Rack) -> Permutation:
     Bijectivity is forced by the rack axioms; a non-bijective result would
     indicate corrupted input and raises ``ValueError``.
     """
-    return Permutation([p.images[x] for x, p in enumerate(rack.s)])
+    return Permutation([row[x] for x, row in enumerate(rack.tables())])
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +360,8 @@ def _quotient_by_labels(rack: Rack, labels: list[int]) -> tuple[Rack, list[int]]
     reps = sorted(set(labels))
     idx = {r: i for i, r in enumerate(reps)}
     proj = [idx[lbl] for lbl in labels]
-    m = len(reps)
     rows = rack.tables()
-    s = []
-    for r in reps:
-        images = [proj[rows[r][rep]] for rep in reps]
-        s.append(Permutation(images))
-    return check_rack(m, s), proj
+    return check_rack(len(reps), [[proj[rows[r][rep]] for rep in reps] for r in reps]), proj
 
 
 def associated_quandle(rack: Rack) -> tuple[Rack, list[int]]:
@@ -373,7 +370,7 @@ def associated_quandle(rack: Rack) -> tuple[Rack, list[int]]:
     Returns the quotient and the projection as a list mapping each element
     to its class index.
     """
-    seeds = [(p.images[x], x) for x, p in enumerate(rack.s)]
+    seeds = [(row[x], x) for x, row in enumerate(rack.tables())]
     quotient, proj = _quotient_by_labels(rack, _finest_congruence(rack, seeds))
     assert is_quandle(quotient)
     return quotient, proj
@@ -432,6 +429,6 @@ def profile(rack: Rack) -> RackProfile:
         quandle=is_quandle(rack),
         medial=is_medial(rack),
         theta_cycle_type=theta(rack).cycle_type(),
-        s_cycle_types=tuple(sorted(p.cycle_type() for p in rack.s)),
+        s_cycle_types=tuple(sorted(map(row_cycle_type, rack.tables()))),
         inn_order=inn_order,
     )

@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 import random
 import subprocess
@@ -19,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    """The environment with this checkout's ``src`` on ``PYTHONPATH``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def write_library(path, racks, rng):
@@ -383,14 +392,11 @@ class TestClassify:
         assert "--long-run" in err
 
     def test_python_dash_m(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "glracks", "count", "-n", "9"],
             capture_output=True,
             text=True,
-            env=env,
+            env=subprocess_env(),
         )
         assert proc.returncode == 1
         assert proc.stderr.strip() == "error: order must be in 0..8"
@@ -403,6 +409,34 @@ class TestClassify:
         assert run(capsys, *argv, "--out", p1)[0] == 0
         assert run(capsys, *argv, "--jobs", "2", "--out", p2)[0] == 0
         assert open(p1).read() == open(p2).read()
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_jobs_output_identical_under_every_start_method(self, capsys, tmp_path, method):
+        # the pool pickles every library rack to its workers, and the start
+        # method decides what else they inherit (forkserver is the Linux
+        # default from Python 3.14)
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        lib = str(tmp_path / "lib.txt")
+        write_library(lib, enumerate_racks(4), random.Random(4))
+        argv = ["classify", "-n", "4", "--source", lib]
+        code, serial, _err = run(capsys, *argv)
+        assert code == 0
+        script = (
+            "import multiprocessing, sys\n"
+            "from glracks.cli import main\n"
+            "if __name__ == '__main__':\n"
+            f"    multiprocessing.set_start_method({method!r})\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--jobs", "2"],
+            capture_output=True,
+            env=subprocess_env(),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == serial.encode()
 
     def test_jobs_without_source_exits_1(self, capsys, tmp_path):
         out = tmp_path / "out.txt"

@@ -276,7 +276,7 @@ class TestSearchCache:
             aut = aut_group(copy)
             for u in classify.gl_structures(copy, aut).elements:
                 aut_glr(check_gl(copy, u))
-            assert set(vars(copy)) == {"n", "s"}
+            assert set(vars(copy)) == {"n", "rows"}
 
     def test_record_layer_stores_nothing(self, small_racks, tmp_path):
         # the GL check's column bytes stay on the record layer's table
@@ -285,11 +285,11 @@ class TestSearchCache:
             copy = _fresh(rack)
             us = classify.gl_structures(rack, aut_group(rack)).elements
             write_records(path, gl_records(copy, us))
-            assert set(vars(copy)) == {"n", "s"}
+            assert set(vars(copy)) == {"n", "rows"}
             assert all(not isinstance(found, ValueError) for _, found in scan_records(path))
-            assert set(vars(copy)) == {"n", "s"}
+            assert set(vars(copy)) == {"n", "rows"}
             for _record, read in read_racks(path):
-                assert set(vars(read)) == {"n", "s"}
+                assert set(vars(read)) == {"n", "rows"}
 
     def test_one_query_from_a_large_source_interns_nothing(self):
         # the classification orders keep their schedules; an order-300

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import strategies as st
@@ -54,6 +55,36 @@ class TestValidation:
     def test_empty_rack(self):
         rack = check_rack(0, [])
         assert is_quandle(rack) and is_medial(rack)
+
+
+class TestRackForm:
+    """A rack holds its rows; ``s`` wraps them as permutations."""
+
+    def test_permutations_tuples_and_lists_give_one_rack(self, small_racks):
+        for n, rack in small_racks:
+            forms = [rack.s, rack.tables(), [list(row) for row in rack.tables()]]
+            racks = [check_rack(n, form) for form in forms]
+            assert racks[0] == racks[1] == racks[2] == rack
+            assert len({hash(r) for r in racks + [rack]}) == 1
+
+    def test_tables_are_the_rows(self, small_racks):
+        for _n, rack in small_racks:
+            assert rack.tables() is rack.rows
+            assert [p.images for p in rack.s] == list(rack.rows)
+            assert check_rack(rack.n, rack.s) == rack
+
+    def test_pickle_round_trip(self, small_racks):
+        for _n, rack in small_racks:
+            assert pickle.loads(pickle.dumps(rack)) == rack
+
+    def test_row_readers_keep_nothing(self, small_racks):
+        for n, rack in small_racks:
+            fresh = check_rack(n, rack.tables())
+            is_quandle(fresh)
+            theta(fresh)
+            profile(fresh)
+            inn_group(fresh)
+            assert set(vars(fresh)) == {"n", "rows"}
 
 
 class TestConstructors:

@@ -62,7 +62,7 @@ def check_rack_oracle(n, s):
             rz = rows[rx[y]]
             if any(rx[ry[i]] != rz[rx[i]] for i in range(n)):
                 raise SelfDistributivityError(x, y)
-    return Rack(n, tuple(perms))
+    return Rack(n, tuple(p.images for p in perms))
 
 
 def is_medial_oracle(rack):
@@ -214,14 +214,14 @@ class TestIsMedial:
     @example([(0, 1, 2), (0, 1, 2), (0, 2, 1)])  # fails only at the last x
     def test_agrees_with_oracle_on_any_table(self, rows):
         # the identity is defined on any table, rack or not
-        table = Rack(len(rows), tuple(Permutation(row) for row in rows))
+        table = Rack(len(rows), tuple(map(tuple, rows)))
         assert is_medial(table) == is_medial_oracle(table)
 
     @settings(max_examples=400, deadline=None)
     @given(pooled_tables())
     def test_agrees_with_oracle_on_repeated_rows(self, table):
         n, rows = table
-        table = Rack(n, tuple(Permutation(row) for row in rows))
+        table = Rack(n, tuple(map(tuple, rows)))
         assert is_medial(table) == is_medial_oracle(table)
 
     def test_agrees_on_every_rack_of_order_at_most_5(self):
