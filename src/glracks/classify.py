@@ -28,10 +28,12 @@ its quandle class, whose ``U(Q) = C_{Aut Q}(Inn Q)`` and medial flag are
 computed once per quandle: ``Aut R = C_{Aut Q}(u)``, for the least member
 ``u`` of each class, comes from :func:`perm.orbit_centralizers` (and skips
 repeated relabelings in the canonical form), ``U(R) = C_{U(Q)}(u)``, and
-``R`` is medial exactly when ``Q`` is.  Every conjugation orbit comes from
-:func:`perm.conjugation_orbits`, a breadth-first search over a small
-generating set of the acting group.  A rack from an ingested library has
-no quandle stage: its group comes from :func:`morphisms.aut_group`, its
+``R`` is medial exactly when ``Q`` is.  A central ``u``, alone in its
+class, has ``Aut R = Aut Q`` and ``U(R) = U(Q)``, so the GL-classes of
+``R`` are the quandle's own orbits, walked once.  Every conjugation orbit
+comes from :func:`perm.conjugation_orbits`, a breadth-first search over a
+small generating set of the acting group.  A rack from an ingested library
+has no quandle stage: its group comes from :func:`morphisms.aut_group`, its
 ``U(R)`` from :func:`gl_structures` and its classes from
 :func:`gl_classes`.  The brute-force and orderly oracles live in the tests.
 
@@ -531,7 +533,9 @@ def _enumerate(
     medial flag are computed once: the classes ``u`` are the ``Aut Q``-orbits
     on ``U(Q)``, each with ``Aut R = C_{Aut Q}(u)`` (:func:`orbit_centralizers`),
     which :func:`_canonical` uses; ``U(R) = C_{U(Q)}(u)`` is ``U(Q) & Aut R``;
-    the GL-classes on ``R`` are the ``Aut R``-orbits on ``U(R)``, each
+    the GL-classes on ``R`` are the ``Aut R``-orbits on ``U(R)``, which for
+    a central ``u`` (an orbit of one) are the ``Aut Q``-orbits on ``U(Q)``
+    already walked, as ``Aut R = Aut Q`` and ``U(R) = U(Q)``; each class is
     moved onto the canonical table by the relabeling ``p`` that gives it
     (:func:`_moved`), with the least ``p v p^-1`` as representative; and
     ``R`` is medial exactly when ``Q`` is (its transvections are those of
@@ -544,18 +548,23 @@ def _enumerate(
         structures = gl_structures(quandle, aut_q)
         medial = is_medial(quandle)
         members = [v.images for v in structures.elements]
-        for orbit, aut_r in orbit_centralizers(members, aut_q):
+        walked = orbit_centralizers(members, aut_q)
+        orbits = [orbit for orbit, _ in walked]
+        for orbit, aut_r in walked:
             u = orbit[0]
             untwisted = tuple(_row_getter(s)(u) for s in table)  # rows u s_x
             autos = [a.images for a in aut_r.elements]
             canon, relabeling = _canonical(untwisted, autos)
             reps = None
             if classes:
-                fixing = set(autos)
-                on_r = [v for v in members if v in fixing]  # C_{U(Q)}(u)
+                gl_orbits = orbits  # u central: Aut R = Aut Q, U(R) = U(Q)
+                if len(orbit) > 1:
+                    fixing = set(autos)
+                    on_r = [v for v in members if v in fixing]  # C_{U(Q)}(u)
+                    gl_orbits = conjugation_orbits(on_r, aut_r)
                 reps = sorted(
                     min(_moved(relabeling, v) for v in gl_orbit)
-                    for gl_orbit in conjugation_orbits(on_r, aut_r)
+                    for gl_orbit in gl_orbits
                 )
             found.append((canon, reps, medial))
     found.sort(key=itemgetter(0))

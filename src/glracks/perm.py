@@ -418,18 +418,27 @@ def orbit_centralizers(
     in ``group`` of its least member ``a``, its elements in the order of
     ``group.elements`` (the tests' ``oracles.centralizer(group, [a])``).
 
-    Each orbit's centralizer is one scan of ``group`` for the ``g`` with
-    ``g a == a g``, and the getter of each element is built once per call,
-    not once per orbit as a centralizer call for each orbit would.  That
-    per-orbit rebuild, and Schreier generators of each stabilizer closed
-    by :func:`closure`, both measured slower than this scan.
+    An orbit of one member is central in ``group``, so its centralizer is
+    ``group`` itself, with no scan.  Any other orbit's centralizer is one
+    scan of ``group`` for the ``g`` with ``g a == a g``, which stops once
+    it has ``|group| / |orbit|`` of them (orbit-stabilizer).  The getter
+    of each element is built once per call, and only if some orbit needs
+    a scan, not once per orbit as a centralizer call for each orbit would.
+    That per-orbit rebuild, and Schreier generators of each stabilizer
+    closed by :func:`closure`, both measured slower than this scan.
     """
-    # each g with the getter of the row of a g, for any a
-    scan = [(g, _row_getter(g.images)) for g in group.elements]
+    orbits = conjugation_orbits(members, group)
+    scan = []  # each g with the getter of the row of a g, for any a
+    if any(len(orbit) > 1 for orbit in orbits):
+        scan = [(g, _row_getter(g.images)) for g in group.elements]
     out = []
-    for orbit in conjugation_orbits(members, group):
+    for orbit in orbits:
+        if len(orbit) == 1:
+            out.append((orbit, group))
+            continue
         a = orbit[0]
         then_a = _row_getter(a)  # the row of g a, for any g
-        fixing = tuple(g for g, then_g in scan if then_a(g.images) == then_g(a))
+        fixes = (g for g, then_g in scan if then_a(g.images) == then_g(a))
+        fixing = tuple(itertools.islice(fixes, len(group.elements) // len(orbit)))
         out.append((orbit, SmallGroup(group.degree, fixing, fixing)))
     return out

@@ -227,12 +227,39 @@ class TestCarriedAutomorphisms:
         for table, autos in seen:
             assert autos == _images(aut_group(check_rack(n, table)))
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", [*range(8), pytest.param(8, marks=long_run_only)])
     def test_carried_classes_are_gl_classes(self, n):
-        # the classes taken from the quandle's groups are the rack's own
-        for rack, reps, medial in classify._enumerate(n, long_run=False):
+        # the classes taken from the quandle's groups are the rack's own,
+        # also for a central u, whose classes are the quandle's orbits
+        for rack, reps, medial in classify._enumerate(n, long_run=True):
             assert reps == [u.images for u, _ in gl_classes(rack, aut_group(rack))]
             assert medial == is_medial(rack)
+
+    def test_central_structures_take_the_quandle_orbits(self, monkeypatch):
+        # a central u, an orbit of one, has Aut R = Aut Q and U(R) = U(Q),
+        # so its rack's classes are the quandle's orbits, walked once: the
+        # enumeration walks orbits again only for each orbit of more than one
+        moving = []
+        for n in range(7):
+            moving.append(0)
+            for table, aut in classify._labeled_racks(n):
+                structures = gl_structures(check_rack(n, table), aut)
+                members = [u.images for u in structures.elements]
+                for orbit in conjugation_orbits(members, aut):
+                    moving[n] += len(orbit) > 1
+        assert moving == [0, 0, 0, 2, 5, 16, 68]
+        real = classify.conjugation_orbits
+        calls = []
+
+        def counting(members, group):
+            calls.append(group)
+            return real(members, group)
+
+        monkeypatch.setattr(classify, "conjugation_orbits", counting)
+        for n in range(7):
+            calls.clear()
+            classify._enumerate(n, long_run=False)
+            assert len(calls) == moving[n]
 
     def test_aut_of_untwist_centralizes_u(self):
         # every u in U(Q), not only the class representatives:

@@ -165,12 +165,13 @@ class TestGroups:
         with pytest.raises(ValueError, match="leaves the member set"):
             orbit_centralizers(transpositions[:2], s3)
 
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(8))
     def test_orbit_walk_centralizers(self, n):
         # the stabilizer that orbit_centralizers gives is the centralizer of
         # the orbit's least member, for every conjugacy class of S_n and for
         # U(Q) under Aut Q for every quandle class Q of order n, as the
-        # enumeration takes them
+        # enumeration takes them; its size is |group| / |orbit|, and an
+        # orbit of one keeps the whole group, in order
         symmetric = symmetric_group(n)
         cases = [([g.images for g in symmetric.elements], symmetric)]
         for table, aut in classify._labeled_racks(n):
@@ -182,6 +183,9 @@ class TestGroups:
             for orbit, stabilizer in walked:
                 rep = Permutation(orbit[0])
                 assert stabilizer.elements == centralizer(group, [rep]).elements
+                assert len(stabilizer.elements) * len(orbit) == len(group.elements)
+                if len(orbit) == 1:
+                    assert stabilizer.elements == group.elements
 
     def test_are_conjugate_witness(self):
         s5 = symmetric_group(5)
