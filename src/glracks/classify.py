@@ -53,7 +53,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Container, Iterator, Optional, Sequence
 
 from . import formats
@@ -285,7 +285,7 @@ def _labeled_racks(n: int) -> list[tuple[Table, SmallGroup]]:
         }
         swaps = _transpositions(n, k)
         keyed = [
-            [(key, _swapped(swaps[x], row)) for row, (key, _pb) in forms.items()]
+            [(key, _moved(swaps[x], row)) for row, (key, _pb) in forms.items()]
             for x in range(k + 1, n)
         ]
         for d in sorted({key for key, _pb in forms.values()}):
@@ -309,32 +309,28 @@ def _labeled_racks(n: int) -> list[tuple[Table, SmallGroup]]:
     return classes
 
 
-def _transpositions(n: int, k: int) -> list[tuple[int, ...]]:
-    """The transposition ``(k x)`` of {0..n-1} for each ``x``, the identity
-    at ``x = k``."""
+def _transpositions(n: int, k: int) -> list[Relabeling]:
+    """The transposition ``t = (k x)`` of {0..n-1} for each ``x``, the
+    identity at ``x = k``, as a relabeling: ``(t, t, q -> q t)``, as an
+    involution is its own inverse."""
     swaps = []
     for x in range(n):
         t = list(range(n))
         t[k], t[x] = x, k
-        swaps.append(tuple(t))
+        swaps.append(_relabeling(tuple(t)))
     return swaps
 
 
-def _swapped(t: tuple[int, ...], q: Sequence[int]) -> tuple[int, ...]:
-    """``t q t`` for an involution ``t``."""
-    return tuple(t[q[a]] for a in t)
-
-
 def _branch_relabelings(
-    k: int, d: Row, forms: dict[Row, tuple[Row, list[int]]], swaps: list[Row]
+    k: int, d: Row, forms: dict[Row, tuple[Row, list[int]]], swaps: list[Relabeling]
 ) -> Callable[[int, Row], list[Relabeling]]:
     """For the search branch ``(k, d)``: the relabelings ``p = c p_b`` that
     row ``b`` set to ``row`` brings (:func:`_key_relabelings`), each list
     made once.  ``forms`` holds the block key and relabeling of each row
-    that fixes ``k``, and ``swaps[b]`` is ``t = (k b)``: ``row`` at ``b``
-    has the key of ``t row t`` at ``k``, and its relabeling ``p_b`` is that
-    row's times ``t``.  A row whose key is not ``d``, or an identity row
-    ``b < k``, brings none.
+    that fixes ``k``, and ``swaps[b]`` is ``t = (k b)`` as a relabeling:
+    ``row`` at ``b`` has the key of ``t row t`` (:func:`_moved`) at ``k``,
+    and its relabeling ``p_b`` is that row's times ``t``.  A row whose key
+    is not ``d``, or an identity row ``b < k``, brings none.
     """
     made: dict[tuple[int, Row], list[Relabeling]] = {}
 
@@ -343,10 +339,10 @@ def _branch_relabelings(
         if got is None:
             got = made[b, row] = []
             if b >= k:
-                t = swaps[b]
-                key, pb = forms[_swapped(t, row)]
+                swap = swaps[b]
+                key, pb = forms[_moved(swap, row)]
                 if key == d:
-                    got += _key_relabelings(k, d, [pb[a] for a in t])
+                    got += _key_relabelings(k, d, swap[2](pb))  # p_b t
         return got
 
     return relabelings
@@ -703,12 +699,13 @@ def classify_gl(
     ``racks`` defaults to the racks of :func:`enumerate_racks`, each with
     its GL-classes and medial flag, taken from its quandle class's groups
     (see :func:`_enumerate`); pass an ingested library list to classify
-    external data, and each rack's classes are then found from its own
-    :func:`aut_group`.  Either way each class becomes a record through
-    :func:`formats.gl_records`, which checks it and derives its down map
-    and flags.  The global result has one record per GL-rack isomorphism
-    class because GL-isomorphic structures have isomorphic underlying
-    racks and the rack list holds one rack per class.
+    external data (every rack of order ``n``, or ``ValueError``), and each
+    rack's classes are then found from its own :func:`aut_group`.  Either
+    way each class becomes a record through :func:`formats.gl_records`,
+    which checks it and derives its down map and flags.  The global result
+    has one record per GL-rack isomorphism class because GL-isomorphic
+    structures have isomorphic underlying racks and the rack list holds one
+    rack per class.
     Per-rack failures are recorded as diagnostics and make the result
     non-exhaustive rather than aborting the whole run.
 
@@ -721,6 +718,11 @@ def classify_gl(
     With ``checkpoint_path``, the racks already finished there are not
     redone, and this process appends each further ``CHECKPOINT_EVERY``
     finished racks (under any ``jobs``); a failed rack is not checkpointed.
+    On the enumerate path each finished rack's ``u`` list must be its
+    GL-class representatives, or :class:`formats.RecordFormatError` names
+    the checkpoint and the rack; a library rack's classes would need the
+    :func:`aut_group` that the checkpoint saves, so its list is taken as
+    :func:`formats.read_checkpoint` checks it.
     """
     if racks is None:
         if jobs > 1:
@@ -728,6 +730,8 @@ def classify_gl(
         enumerated = _enumerate(n, long_run)
         racks = [rack for rack, _reps, _medial in enumerated]
     else:
+        if any(rack.n != n for rack in racks):
+            raise ValueError(f"every rack must have order {n}")
         enumerated = [(rack, None, None) for rack in racks]
     tasks = [(i, *entry) for i, entry in enumerate(enumerated)]
 
@@ -736,6 +740,14 @@ def classify_gl(
 
     if checkpoint_path is not None:
         done, records = formats.read_checkpoint(checkpoint_path, racks)
+        # an enumerated rack's records, one line's run, must be its classes
+        for i, same_rack in itertools.groupby(records, attrgetter("rack_index")):
+            reps = enumerated[i][1]
+            if reps is not None and [record.u for record in same_rack] != reps:
+                raise formats.RecordFormatError(
+                    f"{checkpoint_path}: rack={i}: u list is not the least "
+                    f"member of each GL-class"
+                )
         tasks = [t for t in tasks if t[0] not in done]
 
     # no more processes than racks left to do or CPUs to run them

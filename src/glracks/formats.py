@@ -8,10 +8,11 @@ Every GL record is made by one builder, :func:`gl_records`: it checks ``u``
 and derives the down map ``d = theta^-1 u^-1`` and the flags (Legendrian,
 ``theta = u^-2``, exactly when ``d = u``) from the table's cached
 ``theta^-1``, quandle and medial checks.  A read checks each stored record
-by the same step, and keeps its per-read work (each distinct ``s=``,
-``u=`` and ``d=`` text parsed once, each distinct table checked once)
-inside this module; :func:`read_racks` hands each record over with its
-checked rack.  A write formats each distinct table and array once.
+by the same step, and keeps its per-read work inside this module: each
+distinct valid ``s=``, ``u=`` and ``d=`` text parsed once, and each
+distinct rack table checked once; a failing text or table raises again
+on each line it is on.  :func:`read_racks` hands each record over with
+its checked rack.  A write formats each distinct table and array once.
 
 A checkpoint holds one line per finished rack, with only the ``u`` of
 each record: a resume builds the records again through :func:`gl_records`.
@@ -91,9 +92,10 @@ _FLAGS = {
 
 
 class _Table:
-    """One rack table ``(n, s)`` with the checks made on it: ``check_rack``
-    (its rack, or the error it raised; a rack already checked is taken as
-    it is), and ``theta^-1`` and ``is_quandle`` and ``is_medial``, each made
+    """One rack table ``(n, s)`` with the checks made on it: ``check_rack``,
+    run when it is built (a rack already checked is taken as it is; a table
+    that is not a rack raises its ``RackError`` there, so no ``_Table`` holds
+    one), and ``theta^-1`` and ``is_quandle`` and ``is_medial``, each made
     when first asked for.  :meth:`record` builds the record of a
     GL-structure on the table, and :meth:`validate` checks a stored one;
     both go through :meth:`_derive`.
@@ -108,18 +110,7 @@ class _Table:
     def __init__(self, n: int, s, rack: Optional[Rack] = None) -> None:
         self.n = n
         self.s = s
-        if rack is None:
-            try:
-                rack = check_rack(n, s)
-            except RackError as exc:
-                rack = exc
-        self._rack = rack
-
-    @property
-    def rack(self) -> Rack:
-        if isinstance(self._rack, RackError):
-            raise self._rack.with_traceback(None)
-        return self._rack
+        self.rack = check_rack(n, s) if rack is None else rack
 
     @cached_property
     def theta_inv(self) -> tuple[int, ...]:
@@ -160,7 +151,6 @@ class _Table:
         """Check ``record``, a record of this table whose ``u``, if any, is
         known to be a bijection (a parsed one is): its ``u``, and its ``d``
         and flags against those :meth:`_derive` gives."""
-        self.rack  # raises for a table that is not a rack
         if record.u is not None:
             d, fl = self._derive(Permutation.unchecked(tuple(record.u)))
             if record.d is not None and d != tuple(record.d):
@@ -197,16 +187,16 @@ def gl_records(
 class _RackTables:
     """The table-level work on the records of one file read.
 
-    Each distinct ``s=``, ``u=`` and ``d=`` text under each ``n`` is parsed
-    once, to one tuple that all its records share (or to the error it
-    raised, re-raised for every later line with that text), and each
-    distinct table ``(n, s)`` is checked once (:class:`_Table`).  A results
-    file repeats each rack table once per GL-structure on it, and each
-    ``u`` and ``d`` array across tables.
+    Each distinct valid ``s=``, ``u=`` and ``d=`` text under each ``n`` is
+    parsed once, to one tuple that all its records share, and each distinct
+    rack table ``(n, s)`` is checked once (:class:`_Table`).  Only values
+    are kept: a failing text or table raises again on each line it is on.
+    A results file repeats each rack table once per GL-structure on it, and
+    each ``u`` and ``d`` array across tables.
     """
 
     def __init__(self) -> None:
-        # (field, n, text) -> its parsed tuple, or its RecordFormatError
+        # (field, n, text) -> its parsed tuple
         self._texts: dict = {}
         self._tables: dict[tuple, _Table] = {}
 
@@ -214,16 +204,11 @@ class _RackTables:
         key = (what, n, text)
         found = self._texts.get(key)
         if found is None:
-            try:
-                if what == "s":
-                    found = _parse_table(n, text)
-                else:
-                    found = _parse_images(text, n, what)
-            except RecordFormatError as exc:
-                found = exc
+            if what == "s":
+                found = _parse_table(n, text)
+            else:
+                found = _parse_images(text, n, what)
             self._texts[key] = found
-        if isinstance(found, RecordFormatError):
-            raise found.with_traceback(None)
         return found
 
     def table(self, n: int, s) -> _Table:
@@ -262,9 +247,9 @@ class StructureRecord:
 
     def validate(self) -> None:
         """Full cross-check; raises on any inconsistency."""
+        # a table that is not a rack is reported first, by _Table
         table = _Table(self.n, self.s)
         if self.u is not None:
-            table.rack  # a table that is not a rack is reported first
             Permutation(self.u)  # raises for a u that is no bijection
         table.validate(self)
 

@@ -85,7 +85,7 @@ def orderly_racks(n):
         }
         swaps = classify._transpositions(n, k)
         keyed = [
-            [(key, classify._swapped(swaps[x], r)) for r, (key, _p) in forms.items()]
+            [(key, classify._moved(swaps[x], r)) for r, (key, _p) in forms.items()]
             for x in range(k + 1, n)
         ]
         for d in sorted({key for key, _p in forms.values()}):

@@ -480,6 +480,13 @@ class TestClassification:
         with pytest.raises(ValueError, match="rack list"):
             classify_gl(4, jobs=2)
 
+    def test_racks_of_another_order_are_refused(self, racks_by_order):
+        # count_report(3, ...) would report the order-4 counts as n=3
+        with pytest.raises(ValueError, match="order 3"):
+            classify_gl(3, racks_by_order[4])
+        with pytest.raises(ValueError, match="order 4"):
+            classify_gl(4, [*racks_by_order[4], racks_by_order[3][0]])
+
     def test_records_carry_consistent_down_maps(self, racks_by_order):
         from glracks.glrack import down_map
 

@@ -638,6 +638,36 @@ class TestClassify:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f":{lineno}:" in err
 
+    @pytest.mark.parametrize(
+        "rack, old, new",
+        [
+            # a dropped class: the resume would print g=61
+            ("3", "u=1,2,3,4;1,2,4,3;2,1,3,4;", "u=1,2,3,4;1,2,4,3;"),
+            # (2 3) in place of (3 4), the least member of its class
+            ("0", "u=1,2,3,4;1,2,4,3;", "u=1,2,3,4;1,3,2,4;"),
+            # the class of (3 4) listed twice, again as (2 4)
+            ("0", "1,3,4,2;2,1,4,3;", "1,3,4,2;1,4,3,2;2,1,4,3;"),
+        ],
+        ids=["dropped", "not-least", "twice"],
+    )
+    def test_checkpoint_with_other_classes_exits_1(self, capsys, tmp_path, rack, old, new):
+        # each line is well formed and each u a GL-structure on its rack;
+        # only the classes the enumerate path computes show the change
+        ckpt = str(tmp_path / "ckpt.txt")
+        argv = ("classify", "-n", "4", "--checkpoint", ckpt)
+        assert run(capsys, *argv)[0] == 0
+        with open(ckpt) as fh:
+            lines = fh.readlines()
+        [at] = [i for i, line in enumerate(lines) if line.startswith(f"rack={rack} ")]
+        assert old in lines[at]
+        lines[at] = lines[at].replace(old, new, 1)
+        with open(ckpt, "w") as fh:
+            fh.writelines(lines)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{ckpt}: rack={rack}:" in err
+
     @pytest.mark.parametrize("quandles", [(), ("--quandles",)])
     def test_checkpoint_bare_watermark_exits_1(self, capsys, tmp_path, quandles):
         # a rack marked done with no records would print a short count
